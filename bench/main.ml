@@ -660,17 +660,18 @@ let gcstats () =
       ("NCC:wheel", Sim.Engine.Timing_wheel);
     ]
 
-(* --- analyzer cost: the typed + race lint planes, timed --------------- *)
+(* --- analyzer cost: the typed lint planes, timed --------------------- *)
 
 (* One full typed-engine pass (R7-R10 + the race plane R12-R15 + the
    allocation plane R16-R19) over the workspace's .cmt files, reported
-   as the "lint.typed" micro row, plus an isolated run of just the
-   allocation plane over the already-loaded units as "lint.alloc", so
-   analyzer cost is tracked next to the primitive timings. Host
-   wall-clock figures, like every micro row: parity byte-diffs must
-   select experiments that exclude them. Contributes no rows when no
-   build tree is visible (an installed binary run outside the
-   workspace). *)
+   as the "lint.typed" micro row, plus a run selecting only the
+   allocation plane's rules over the already-loaded units as
+   "lint.alloc" (the shared declaration pass included; the other
+   planes are skipped), so analyzer cost is tracked next to the
+   primitive timings. Host wall-clock figures, like every micro row:
+   parity byte-diffs must select experiments that exclude them.
+   Contributes no rows when no build tree is visible (an installed
+   binary run outside the workspace). *)
 let lint () =
   let root = "_build/default" in
   if not (Sys.file_exists root && Sys.is_directory root) then begin
@@ -694,10 +695,12 @@ let lint () =
     let elapsed = Unix.gettimeofday () -. t0 in
     Printf.printf "%-36s %12.1f ns/run  (%d units, %d pre-waiver findings)\n"
       "lint.typed" (elapsed *. 1e9) (List.length cmts) (List.length findings);
-    let units, _ = Lint.Typed_engine.load_units cmts in
+    let units, _ = Lint.Cmt_graph.load_units cmts in
     (* ncc-lint: allow R2 — wall-clock times the analyzer itself *)
     let t0 = Unix.gettimeofday () in
-    let alloc_findings = Lint.Typed_engine.alloc_pass units in
+    let alloc_findings, _ =
+      Lint.Typed_engine.lint_units ~only:Lint.Alloc_engine.rules units
+    in
     (* ncc-lint: allow R2 — wall-clock times the analyzer itself *)
     let elapsed_alloc = Unix.gettimeofday () -. t0 in
     Printf.printf "%-36s %12.1f ns/run  (%d units, %d pre-waiver findings)\n"

@@ -5,14 +5,11 @@
    implementation header and docs/performance.md for the site classes
    and the cold-region exemptions. *)
 
-type unit_in = {
-  a_prefix : string list;  (* canonical module path components *)
-  a_file : string;  (* repo-relative source path *)
-  a_str : Typedtree.structure;
-}
+val rules : string list
 
-(* Run the plane over every unit at once (hotness propagates across
-   unit boundaries). Findings are sorted; waivers are applied later by
-   Engine.lint_source since every finding anchors on a real source
-   line. [only] restricts to the given (alias-resolved) rule ids. *)
-val lint_units : ?only:string list -> unit_in list -> Engine.finding list
+(* Scan every binding body and report R16-R19 into the graph's
+   findings (hotness propagates across unit boundaries). Every finding
+   anchors on a real source line, so waivers are applied later by
+   Engine.lint_source. Typed_engine.lint_units runs this plane
+   whenever one of [rules] is selected. *)
+val visit : Cmt_graph.t -> unit

@@ -46,18 +46,13 @@ let rec flatten = function
 
 let ident_path lid = String.concat "." (flatten lid)
 
-let has_prefix ~prefix path =
-  path = prefix
-  || String.length path > String.length prefix
-     && String.sub path 0 (String.length prefix + 1) = prefix ^ "."
-
 (* Identifier-shaped rules (R1-R4) applied to one qualified path. *)
 let match_path rules path =
   List.filter
     (fun (r : Rules.rule) ->
       match r.matcher with
       | Rules.Forbid_prefixes ps ->
-        List.exists (fun p -> has_prefix ~prefix:p path) ps
+        List.exists (fun p -> Paths.has_prefix ~prefix:p path) ps
       | Rules.Forbid_idents ids -> List.mem path ids
       | Rules.Toplevel_mutable | Rules.Wildcard_try | Rules.Typed _ -> false)
     rules
@@ -79,10 +74,6 @@ let mutable_creators =
     "Bytes.create";
     "Bytes.make";
   ]
-
-let loc_pos (loc : Location.t) =
-  let p = loc.loc_start in
-  (p.Lexing.pos_lnum, p.Lexing.pos_cnum - p.Lexing.pos_bol)
 
 (* Does this top-level binding pattern bind anything? [let () = ...]
    bodies are main-style driver code, not module state. *)
@@ -109,7 +100,7 @@ let run_rules ?only ~file source =
   in
   let found = ref [] in
   let add (r : Rules.rule) loc msg =
-    let line, col = loc_pos loc in
+    let line, col = Paths.loc_pos loc in
     found :=
       {
         file;

@@ -63,4 +63,4 @@ let seeds =
   ]
 
 (* Does a node key name a seeded hot entry? *)
-let is_seed key = List.exists (fun s -> Paths.has_suffix ~suffix:s key) seeds
+let is_seed key = Paths.matches_any ~fns:seeds key

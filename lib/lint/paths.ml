@@ -1,13 +1,15 @@
-(* Path canonicalisation shared by the typed analysis planes.
+(* The name helpers shared by the lint engines.
 
    Dune mangles wrapped-library modules ("Baselines__D2pl") and
    executable modules ("Dune__exe__Ncc_lint"); these helpers undo both
    so one canonical spelling ("Baselines.D2pl") covers every way a
    unit can be named in a Path.t, and normalise the file names the
-   compiler recorded inside _build back to repo-relative paths. Both
-   the typed engine (R7-R10) and the race engine (R12-R15) resolve
-   identifiers through this module, so a location has exactly one
-   abstract name no matter which plane observed it. *)
+   compiler recorded inside _build back to repo-relative paths. The
+   typed planes (R7-R10, the race plane R12-R15, the allocation plane
+   R16-R19) resolve identifiers through Cmt_graph, which builds its
+   node keys from these, so a location has exactly one abstract name
+   no matter which plane observed it; the syntactic engine shares the
+   whole-component prefix match. *)
 
 let split_mangled s =
   let out = ref [] in
@@ -58,6 +60,12 @@ let has_suffix ~suffix s =
   ls > lf + 1
   && String.sub s (ls - lf) lf = suffix
   && s.[ls - lf - 1] = '.'
+
+let matches_any ~fns s = List.exists (fun f -> has_suffix ~suffix:f s) fns
+
+(* "Pool.worker.m" and "Harness.Pool.worker.m" are the same key seen
+   from inside and outside the defining unit. *)
+let key_match a b = a = b || has_suffix ~suffix:a b || has_suffix ~suffix:b a
 
 let has_prefix ~prefix path =
   path = prefix

@@ -1,7 +1,8 @@
-(* Path canonicalisation shared by the typed analysis planes (the
-   typed engine for R7-R10 and the race engine for R12-R15): undoing
-   dune's module mangling, canonical Path.t spellings, whole-component
-   suffix/prefix matching, and _build-to-repo file-name rewriting. *)
+(* The name helpers shared by the lint engines: undoing dune's module
+   mangling, canonical Path.t spellings, whole-component
+   suffix/prefix matching, and _build-to-repo file-name rewriting.
+   The typed planes (R7-R10, R12-R15, R16-R19) build their node keys
+   from these through Cmt_graph. *)
 
 (* "Baselines__D2pl" -> ["Baselines"; "D2pl"]. *)
 val split_mangled : string -> string list
@@ -18,6 +19,13 @@ val strip_stdlib : string -> string
 (* Whole-component suffix match: "Ts.t" matches "Kernel.Ts.t" but not
    "Cuts.t". *)
 val has_suffix : suffix:string -> string -> bool
+
+(* [has_suffix] against any of [fns]. *)
+val matches_any : fns:string list -> string -> bool
+
+(* Either key is a whole-component suffix of the other: the same
+   global seen from inside and outside its defining unit. *)
+val key_match : string -> string -> bool
 
 (* Whole-component prefix match: "Random" matches "Random.int". *)
 val has_prefix : prefix:string -> string -> bool

@@ -1,26 +1,18 @@
 (* The race plane: rules R12-R15 over the typedtree — field-sensitive
    mutable-state escape analysis for domain-parallel code (R12), mixed
    Atomic/plain discipline (R13), lock discipline (R14), DLS misuse
-   (R15). Findings are Engine.finding values, so the waiver and
-   reporter machinery applies unchanged; R12's call-graph findings and
-   R14's double-acquire findings carry the BFS chain as evidence.
+   (R15). A per-node visitor over Cmt_graph; findings go through
+   Cmt_graph.emit, so the waiver and reporter machinery applies
+   unchanged. R12's call-graph findings and R14's double-acquire
+   findings carry the BFS chain as evidence.
 
-   The analyses are whole-program over the given unit set (R12's call
-   graph and R15's worker-reachable region span units); lint the full
-   tree. Typed_engine.lint_units runs this plane automatically — the
-   separate entry point exists for the engine's own fixture tests. *)
+   The analyses are whole-program over the declared unit set (R12's
+   call graph and R15's worker-reachable region span units); lint the
+   full tree. Typed_engine.lint_units runs this plane whenever one of
+   [rules] is selected. *)
 
-type unit_in = {
-  r_prefix : string list;  (* canonical module path components *)
-  r_file : string;  (* repo-relative source path *)
-  r_str : Typedtree.structure;
-  r_pragmas : Pragma.t list;  (* for R12 effect-site waivers *)
-}
+val rules : string list
 
-(* Analyse a set of units. Returns the findings (sorted) and the
-   effect-site waiver pragmas consumed, as (file, pragma line) pairs —
-   pass these to [Engine.lint_source ~used_sites] so they are not
-   reported as unused. [only] restricts to the given rule ids
-   (aliases resolved: "R11" selects R12). *)
-val lint_units :
-  ?only:string list -> unit_in list -> Engine.finding list * (string * int) list
+(* Scan every binding body, then report R12-R15 into the graph's
+   findings; consumed [allow R12] effect-site waivers are recorded. *)
+val visit : Cmt_graph.t -> unit

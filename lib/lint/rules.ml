@@ -114,7 +114,7 @@ type matcher =
   | Wildcard_try  (* [try ... with _ ->] / [match ... with exception _ ->] *)
   | Typed of typed_check
       (* semantic check over the typedtree; ignored by the parsetree
-         engine, dispatched by Typed_engine / Race_engine *)
+         engine, implemented by the typed planes over Cmt_graph *)
 
 type rule = {
   id : string;

@@ -20,9 +20,11 @@
      R10 liveness of protocol [msg] variant constructors: never built
          or never matched means a dead protocol message.
 
-   The race plane R12-R15 (Race_engine) runs over the same unit set
-   from [lint_units], and its findings are merged here — one entry
-   point serves both typed planes. The retired rule R11 (toplevel
+   The plane is a per-node visitor over Cmt_graph, the call-graph core
+   it shares with the race plane R12-R15 (Race_engine) and the
+   allocation plane R16-R19 (Alloc_engine). [lint_units] declares the
+   units once and runs every plane one of whose rules is selected —
+   one entry point serves all three. The retired rule R11 (toplevel
    mutable state reachable from pool closures) is an alias of R12.
 
    Findings are Engine.finding values, so the waiver pragmas and both
@@ -39,49 +41,7 @@
    closures do not produce call-graph edges; [msg] liveness is
    computed over the loaded unit set, so lint the whole tree. *)
 
-type unit_info = {
-  u_name : string;  (* canonical module path, e.g. "Ncc.Server" *)
-  u_file : string;  (* repo-relative source path *)
-  u_str : Typedtree.structure;
-  u_source : string option;  (* for effect-site waivers *)
-}
-
-(* --- path canonicalisation ------------------------------------------- *)
-
-(* Shared with Race_engine via Paths; local shorthands keep the many
-   call sites below readable. *)
-let split_mangled = Paths.split_mangled
-let canon_head = Paths.canon_head
-let plain_path = Paths.plain_path
-let strip_stdlib = Paths.strip_stdlib
-let has_suffix = Paths.has_suffix
-let norm_fname = Paths.norm_fname
-
-(* --- per-unit context ------------------------------------------------- *)
-
-type ctx = {
-  c_file : string;
-  c_paths : (string, string list) Hashtbl.t;
-      (* local module / msg-type idents (by Ident.unique_name) ->
-         canonical components *)
-  c_values : (string, string) Hashtbl.t;
-      (* unit-toplevel value idents (by Ident.unique_name) -> node key *)
-  c_pragmas : Pragma.t list;  (* waivers in this unit's source *)
-}
-
-let canon_path ctx (p : Path.t) =
-  let rec go = function
-    | Path.Pident id -> (
-      match Hashtbl.find_opt ctx.c_paths (Ident.unique_name id) with
-      | Some parts -> parts
-      | None -> canon_head (Ident.name id))
-    | Path.Pdot (p, s) -> go p @ [ s ]
-    | Path.Papply (a, _) -> go a
-    | Path.Pextra_ty (p, _) -> go p
-  in
-  String.concat "." (go p)
-
-(* --- the run-wide accumulator ----------------------------------------- *)
+(* --- the plane's own state ---------------------------------------------- *)
 
 type amb = {
   a_cat : [ `Random | `Clock | `Io | `Mutation ];
@@ -90,52 +50,16 @@ type amb = {
   a_line : int;
 }
 
-type node = {
-  n_key : string;
-  n_name : string;  (* last component, for entry-point matching *)
-  n_file : string;
-  n_line : int;
-  n_col : int;
-  mutable n_refs : string list;  (* canonical referenced globals *)
-  mutable n_ambs : amb list;
-}
+(* Per-node facts: call-graph edges (every referenced global) and
+   ambient effects. *)
+type facts = { mutable refs : string list; mutable ambs : amb list }
 
-type acc = {
-  k_nodes : (string, node) Hashtbl.t;
-  mutable k_keys : string list;  (* insertion order of node keys *)
-  k_built : (string, unit) Hashtbl.t;  (* "<type key>#<constructor>" *)
-  k_matched : (string, unit) Hashtbl.t;
-  mutable k_msgs : (string * (string * Location.t) list) list;
+type state = {
+  built : (string, unit) Hashtbl.t;  (* "<type key>#<constructor>" *)
+  matched : (string, unit) Hashtbl.t;
+  mutable msgs : (string * (string * Location.t) list) list;
       (* msg type key -> constructors *)
-  mutable k_findings : Engine.finding list;
-  mutable k_used : (string * int) list;  (* consumed effect-site waivers *)
-  k_only : string list option;
 }
-
-let rule_active acc id =
-  match acc.k_only with None -> true | Some ids -> List.mem id ids
-
-let loc_pos = Paths.loc_pos
-
-let emit acc ?(chain = []) ~rule ~(loc : Location.t) msg =
-  match Rules.find rule with
-  | None -> ()
-  | Some r ->
-    let file = norm_fname loc.loc_start.Lexing.pos_fname in
-    if not (List.mem file r.allowed_files) then begin
-      let line, col = loc_pos loc in
-      acc.k_findings <-
-        {
-          Engine.file;
-          line;
-          col;
-          rule;
-          severity = r.severity;
-          message = msg;
-          chain;
-        }
-        :: acc.k_findings
-    end
 
 (* --- type classification (R7) ----------------------------------------- *)
 
@@ -145,17 +69,6 @@ let show_type ty =
   | exception exn ->
     ignore exn;
     "<type>"
-
-let is_float ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
-  | _ -> false
-
-let rec first_param ty =
-  match Types.get_desc ty with
-  | Types.Tarrow (_, a, _, _) -> Some a
-  | Types.Tpoly (t, _) -> first_param t
-  | _ -> None
 
 (* Does [ty] contain a component that makes structural comparison
    wrong? Returns what was found and the comparator to use instead.
@@ -171,56 +84,25 @@ let rec classify ?(depth = 0) ty =
     | Types.Ttuple ts -> List.find_map recurse ts
     | Types.Tpoly (t, _) -> recurse t
     | Types.Tconstr (p, args, _) ->
-      let s = strip_stdlib (plain_path p) in
+      let s = Paths.strip_stdlib (Paths.plain_path p) in
       if Path.same p Predef.path_float then
         Some ("float", "a tolerance, or the integer-nanosecond path")
-      else if
-        List.exists (fun c -> has_suffix ~suffix:c s) Rules.hash_containers
-      then Some (s ^ " (hash-ordered container)", "comparing sorted bindings")
+      else if Paths.matches_any ~fns:Rules.hash_containers s then
+        Some (s ^ " (hash-ordered container)", "comparing sorted bindings")
       else (
         match
-          List.find_opt (fun (t, _) -> has_suffix ~suffix:t s)
+          List.find_opt
+            (fun (t, _) -> Paths.has_suffix ~suffix:t s)
             Rules.owned_types
         with
         | Some (t, hint) -> Some (t, hint)
         | None -> List.find_map recurse args)
     | _ -> None
 
-(* --- pass A: declarations --------------------------------------------- *)
+(* --- declaration hook (R10) ------------------------------------------- *)
 
-let register_node acc ctx ~prefix id (loc : Location.t) =
-  let name = Ident.name id in
-  let key = String.concat "." (prefix @ [ name ]) in
-  Hashtbl.replace ctx.c_values (Ident.unique_name id) key;
-  if not (Hashtbl.mem acc.k_nodes key) then begin
-    let line, col = loc_pos loc in
-    Hashtbl.replace acc.k_nodes key
-      {
-        n_key = key;
-        n_name = name;
-        n_file = norm_fname loc.loc_start.Lexing.pos_fname;
-        n_line = line;
-        n_col = col;
-        n_refs = [];
-        n_ambs = [];
-      };
-    acc.k_keys <- key :: acc.k_keys
-  end
-
-let rec register_pattern :
-    type k. acc -> ctx -> prefix:string list -> k Typedtree.general_pattern -> unit =
- fun acc ctx ~prefix p ->
-  match p.Typedtree.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> register_node acc ctx ~prefix id p.pat_loc
-  | Typedtree.Tpat_alias (p', id, _) ->
-    register_node acc ctx ~prefix id p.pat_loc;
-    register_pattern acc ctx ~prefix p'
-  | Typedtree.Tpat_tuple ps -> List.iter (register_pattern acc ctx ~prefix) ps
-  | Typedtree.Tpat_construct (_, _, ps, _) ->
-    List.iter (register_pattern acc ctx ~prefix) ps
-  | _ -> ()
-
-let register_type acc ctx ~prefix (d : Typedtree.type_declaration) =
+let register_type st (ctx : Cmt_graph.ctx) ~prefix
+    (d : Typedtree.type_declaration) =
   if d.typ_name.txt = Rules.msg_type_name then begin
     let key = String.concat "." (prefix @ [ d.typ_name.txt ]) in
     Hashtbl.replace ctx.c_paths
@@ -234,123 +116,66 @@ let register_type acc ctx ~prefix (d : Typedtree.type_declaration) =
             (cd.cd_name.txt, cd.cd_loc))
           cds
       in
-      acc.k_msgs <- (key, cstrs) :: acc.k_msgs
+      st.msgs <- (key, cstrs) :: st.msgs
     | _ -> ()
   end
 
-let rec declare_items acc ctx ~prefix items =
-  List.iter (declare_item acc ctx ~prefix) items
-
-and declare_item acc ctx ~prefix (item : Typedtree.structure_item) =
-  match item.str_desc with
-  | Typedtree.Tstr_value (_, vbs) ->
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        register_pattern acc ctx ~prefix vb.vb_pat)
-      vbs
-  | Typedtree.Tstr_type (_, decls) ->
-    List.iter (register_type acc ctx ~prefix) decls
-  | Typedtree.Tstr_module mb -> declare_module acc ctx ~prefix mb
-  | Typedtree.Tstr_recmodule mbs ->
-    List.iter (declare_module acc ctx ~prefix) mbs
-  | _ -> ()
-
-and declare_module acc ctx ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-    let prefix' = prefix @ [ Ident.name id ] in
-    Hashtbl.replace ctx.c_paths (Ident.unique_name id) prefix';
-    let rec structure_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_structure str -> Some str
-      | Typedtree.Tmod_constraint (me', _, _, _) -> structure_of me'
-      | _ -> None
-    in
-    (match structure_of mb.mb_expr with
-     | Some str -> declare_items acc ctx ~prefix:prefix' str.str_items
-     | None -> ())
-
-(* --- pass B: uses, effects, edges ------------------------------------- *)
+(* --- per-node visitor: uses, effects, edges ---------------------------- *)
 
 let r1_prefixes =
   match Rules.find "R1" with
-  | Some { matcher = Rules.Forbid_prefixes ps; _ } -> List.map strip_stdlib ps
+  | Some { matcher = Rules.Forbid_prefixes ps; _ } ->
+    List.map Paths.strip_stdlib ps
   | _ -> [ "Random" ]
 
 let r2_idents =
   match Rules.find "R2" with
-  | Some { matcher = Rules.Forbid_idents ids; _ } -> List.map strip_stdlib ids
+  | Some { matcher = Rules.Forbid_idents ids; _ } ->
+    List.map Paths.strip_stdlib ids
   | _ -> []
 
-let has_prefix = Paths.has_prefix
-
-(* An effect-site waiver [allow R9] on the line of the effect removes
-   it from the graph (used for audited reset-on-run counters). *)
-let site_waived acc ctx line =
-  match
-    List.find_opt (fun p -> Pragma.covers p ~rule:"R9" ~line) ctx.c_pragmas
-  with
-  | Some p ->
-    if not (List.mem (ctx.c_file, p.Pragma.line) acc.k_used) then
-      acc.k_used <- (ctx.c_file, p.Pragma.line) :: acc.k_used;
-    true
-  | None -> false
-
-let add_amb acc ctx (node : node option) cat desc (loc : Location.t) =
-  match node with
+(* An audited effect carries an [allow R9] waiver on its own line,
+   which removes it from the graph (Cmt_graph.effect_site). *)
+let add_amb g ctx (facts : facts option) cat desc loc =
+  match facts with
   | None -> ()
-  | Some n ->
-    let file = norm_fname loc.loc_start.Lexing.pos_fname in
-    if not (List.mem file (Rules.effect_allowed_files cat)) then begin
-      let line, _ = loc_pos loc in
-      if not (site_waived acc ctx line) then
-        n.n_ambs <- { a_cat = cat; a_desc = desc; a_file = file; a_line = line } :: n.n_ambs
-    end
-
-let global_ident ctx (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_ident ((Path.Pdot _ as p), _, _) -> Some (canon_path ctx p)
-  | Typedtree.Texp_ident (Path.Pident id, _, _) ->
-    Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-  | _ -> None
-
-let rec head_path (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some p
-  | Typedtree.Texp_apply (f, _) -> head_path f
-  | _ -> None
+  | Some f -> (
+    match Cmt_graph.effect_site g ctx ~rule:"R9" cat loc with
+    | Some (file, line) ->
+      f.ambs <-
+        { a_cat = cat; a_desc = desc; a_file = file; a_line = line } :: f.ambs
+    | None -> ())
 
 let is_time_read e =
-  match head_path e with
+  match Cmt_graph.head_path e with
   | Some p ->
-    let s = strip_stdlib (plain_path p) in
-    List.exists (fun t -> has_suffix ~suffix:t s) Rules.time_sources
+    Paths.matches_any ~fns:Rules.time_sources
+      (Paths.strip_stdlib (Paths.plain_path p))
   | None -> false
 
 let eq_fns = [ "="; "<>" ]
 let ord_fns = [ "<"; "<="; ">"; ">="; "compare"; "min"; "max" ]
 
 (* Walk one top-level binding's body (or loose module-init code),
-   attributing call-graph edges and effects to [node], and firing the
+   attributing call-graph edges and effects to [facts], and firing the
    local checks R7/R8 plus the R10 use tallies. *)
-let collect acc ctx node expr =
+let collect g st ctx (facts : facts option) expr =
   let add_ref key =
-    match node with
-    | Some n -> if not (List.mem key n.n_refs) then n.n_refs <- key :: n.n_refs
+    match facts with
+    | Some f -> if not (List.mem key f.refs) then f.refs <- key :: f.refs
     | None -> ()
   in
   let check_ident (e : Typedtree.expression) p =
-    let s = strip_stdlib (plain_path p) in
+    let s = Paths.strip_stdlib (Paths.plain_path p) in
     (* R7: polymorphic comparison instantiated at a bad type. The
        ident's own type is the instantiation, so partial applications
        and higher-order uses (List.sort compare) are caught too. *)
-    (if rule_active acc "R7" && List.mem s Rules.poly_compare_fns then
-       match first_param e.exp_type with
-       | Some ty when not (List.mem s eq_fns && is_float ty) -> (
+    (if Cmt_graph.rule_active g "R7" && List.mem s Rules.poly_compare_fns then
+       match Cmt_graph.first_param e.exp_type with
+       | Some ty when not (List.mem s eq_fns && Cmt_graph.is_float ty) -> (
          match classify ty with
          | Some (what, hint) ->
-           emit acc ~rule:"R7" ~loc:e.exp_loc
+           Cmt_graph.emit g ~rule:"R7" ~loc:e.exp_loc
              (Printf.sprintf
                 "polymorphic %s at type %s involves %s; use %s" s
                 (show_type ty) what hint)
@@ -358,63 +183,52 @@ let collect acc ctx node expr =
        | _ -> ());
     (* R8: float equality (always wrong on simulated time; tolerance
        or integer nanoseconds instead). *)
-    if rule_active acc "R8" && List.mem s eq_fns then begin
-      match first_param e.exp_type with
-      | Some ty when is_float ty ->
-        emit acc ~rule:"R8" ~loc:e.exp_loc
+    if Cmt_graph.rule_active g "R8" && List.mem s eq_fns then begin
+      match Cmt_graph.first_param e.exp_type with
+      | Some ty when Cmt_graph.is_float ty ->
+        Cmt_graph.emit g ~rule:"R8" ~loc:e.exp_loc
           (Printf.sprintf
              "float %s: use a tolerance, or compare integer nanoseconds \
               (Clock.read_ns)" s)
       | _ -> ()
     end;
     (* R9 effect sources + call-graph edges. *)
-    if List.exists (fun pre -> has_prefix ~prefix:pre s) r1_prefixes then
-      add_amb acc ctx node `Random s e.exp_loc
-    else if List.mem s r2_idents then
-      add_amb acc ctx node `Clock s e.exp_loc
-    else if List.mem s Rules.io_fns then
-      add_amb acc ctx node `Io s e.exp_loc
-    else begin
-      match p with
-      | Path.Pdot _ -> add_ref (canon_path ctx p)
-      | Path.Pident id -> (
-        match Hashtbl.find_opt ctx.c_values (Ident.unique_name id) with
-        | Some key -> add_ref key
-        | None -> ())
-      | _ -> ()
-    end
-  in
-  let first_arg args =
-    List.find_map
-      (function _, Some (e : Typedtree.expression) -> Some e | _ -> None)
-      args
+    if List.exists (fun pre -> Paths.has_prefix ~prefix:pre s) r1_prefixes then
+      add_amb g ctx facts `Random s e.exp_loc
+    else if List.mem s r2_idents then add_amb g ctx facts `Clock s e.exp_loc
+    else if List.mem s Rules.io_fns then add_amb g ctx facts `Io s e.exp_loc
+    else Option.iter add_ref (Cmt_graph.value_key ctx p)
   in
   let check_apply (e : Typedtree.expression) f args =
     match f.Typedtree.exp_desc with
     | Typedtree.Texp_ident (p, _, _) ->
-      let s = strip_stdlib (plain_path p) in
+      let s = Paths.strip_stdlib (Paths.plain_path p) in
       (* R8: ordering a raw simulated-time read. *)
-      (if rule_active acc "R8" && List.mem s ord_fns then
-         match first_param f.exp_type with
-         | Some ty when is_float ty ->
+      (if Cmt_graph.rule_active g "R8" && List.mem s ord_fns then
+         match Cmt_graph.first_param f.exp_type with
+         | Some ty when Cmt_graph.is_float ty ->
            if
              List.exists
                (function _, Some a -> is_time_read a | _ -> false)
                args
            then
-             emit acc ~rule:"R8" ~loc:e.Typedtree.exp_loc
+             Cmt_graph.emit g ~rule:"R8" ~loc:e.Typedtree.exp_loc
                (Printf.sprintf
                   "%s on a raw simulated-time float: compare a precomputed \
                    deadline, or integer nanoseconds (Clock.read_ns)" s)
          | _ -> ());
       (* R9: in-place mutation of a module-global value. *)
       if List.mem s Rules.mutator_fns then begin
-        match first_arg args with
+        match
+          List.find_map
+            (function _, Some (a : Typedtree.expression) -> Some a | _ -> None)
+            args
+        with
         | Some a -> (
-          match global_ident ctx a with
-          | Some g ->
-            add_amb acc ctx node `Mutation
-              (Printf.sprintf "%s on global %s" s g)
+          match Cmt_graph.global_ident ctx a with
+          | Some gl ->
+            add_amb g ctx facts `Mutation
+              (Printf.sprintf "%s on global %s" s gl)
               e.Typedtree.exp_loc
           | None -> ())
         | None -> ()
@@ -424,10 +238,9 @@ let collect acc ctx node expr =
   let cstr_key (cd : Types.constructor_description) =
     match Types.get_desc cd.cstr_res with
     | Types.Tconstr (p, _, _) ->
-      let key = canon_path ctx p in
-      if has_suffix ~suffix:Rules.msg_type_name key
-         || key = Rules.msg_type_name
-      then Some (key ^ "#" ^ cd.cstr_name)
+      let key = Cmt_graph.canon_path ctx p in
+      if Paths.has_suffix ~suffix:Rules.msg_type_name key then
+        Some (key ^ "#" ^ cd.cstr_name)
       else None
     | _ -> None
   in
@@ -435,15 +248,13 @@ let collect acc ctx node expr =
     (match e.exp_desc with
      | Typedtree.Texp_ident (p, _, _) -> check_ident e p
      | Typedtree.Texp_apply (f, args) -> check_apply e f args
-     | Typedtree.Texp_construct (_, cd, _) -> (
-       match cstr_key cd with
-       | Some k -> Hashtbl.replace acc.k_built k ()
-       | None -> ())
+     | Typedtree.Texp_construct (_, cd, _) ->
+       Option.iter (fun k -> Hashtbl.replace st.built k ()) (cstr_key cd)
      | Typedtree.Texp_setfield (tgt, _, _, _) -> (
-       match global_ident ctx tgt with
-       | Some g ->
-         add_amb acc ctx node `Mutation
-           ("field assignment on global " ^ g)
+       match Cmt_graph.global_ident ctx tgt with
+       | Some gl ->
+         add_amb g ctx facts `Mutation
+           ("field assignment on global " ^ gl)
            e.exp_loc
        | None -> ())
      | _ -> ());
@@ -452,10 +263,8 @@ let collect acc ctx node expr =
   let pat_iter : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
    fun sub p ->
     (match p.Typedtree.pat_desc with
-     | Typedtree.Tpat_construct (_, cd, _, _) -> (
-       match cstr_key cd with
-       | Some k -> Hashtbl.replace acc.k_matched k ()
-       | None -> ())
+     | Typedtree.Tpat_construct (_, cd, _, _) ->
+       Option.iter (fun k -> Hashtbl.replace st.matched k ()) (cstr_key cd)
      | _ -> ());
     Tast_iterator.default_iterator.pat sub p
   in
@@ -463,51 +272,6 @@ let collect acc ctx node expr =
     { Tast_iterator.default_iterator with expr = expr_iter; pat = pat_iter }
   in
   iter.expr iter expr
-
-let rec analyze_items acc ctx ~prefix items =
-  List.iter (analyze_item acc ctx ~prefix) items
-
-and analyze_item acc ctx ~prefix (item : Typedtree.structure_item) =
-  match item.str_desc with
-  | Typedtree.Tstr_value (_, vbs) ->
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        let node =
-          let bound : type k. k Typedtree.general_pattern -> string option =
-           fun p ->
-            match p.Typedtree.pat_desc with
-            | Typedtree.Tpat_var (id, _) ->
-              Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-            | Typedtree.Tpat_alias (_, id, _) ->
-              Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-            | _ -> None
-          in
-          match bound vb.vb_pat with
-          | Some key -> Hashtbl.find_opt acc.k_nodes key
-          | None -> None
-        in
-        collect acc ctx node vb.vb_expr)
-      vbs
-  | Typedtree.Tstr_eval (e, _) -> collect acc ctx None e
-  | Typedtree.Tstr_module mb -> analyze_module acc ctx ~prefix mb
-  | Typedtree.Tstr_recmodule mbs ->
-    List.iter (analyze_module acc ctx ~prefix) mbs
-  | _ -> ()
-
-and analyze_module acc ctx ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-    let prefix' = prefix @ [ Ident.name id ] in
-    let rec structure_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_structure str -> Some str
-      | Typedtree.Tmod_constraint (me', _, _, _) -> structure_of me'
-      | _ -> None
-    in
-    (match structure_of mb.mb_expr with
-     | Some str -> analyze_items acc ctx ~prefix:prefix' str.str_items
-     | None -> ())
 
 (* --- the interprocedural pass (R9) ------------------------------------ *)
 
@@ -517,48 +281,26 @@ let cat_label = function
   | `Io -> "ambient I/O"
   | `Mutation -> "top-level mutable state"
 
-let entry_chains acc (entry : node) =
-  (* Deterministic BFS: refs and effects sorted, first hit per
-     category wins, parents give the chain. *)
-  let parent = Hashtbl.create 64 in
-  let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen entry.n_key ();
-  let q = Queue.create () in
-  Queue.add entry.n_key q;
-  let hits = ref [] in
-  while not (Queue.is_empty q) do
-    let key = Queue.pop q in
-    match Hashtbl.find_opt acc.k_nodes key with
-    | None -> ()
-    | Some n ->
-      let ambs =
-        List.sort
-          (fun a b ->
-            let c = Int.compare a.a_line b.a_line in
-            if c <> 0 then c else String.compare a.a_desc b.a_desc)
-          n.n_ambs
-      in
-      List.iter
-        (fun a ->
-          if not (List.exists (fun (c, _, _) -> c = a.a_cat) !hits) then
-            hits := (a.a_cat, key, a) :: !hits)
-        ambs;
-      List.iter
-        (fun r ->
-          if Hashtbl.mem acc.k_nodes r && not (Hashtbl.mem seen r) then begin
-            Hashtbl.replace seen r ();
-            Hashtbl.replace parent r key;
-            Queue.add r q
-          end)
-        (List.sort String.compare n.n_refs)
-  done;
-  let chain_to key =
-    let rec up key acc_chain =
-      match Hashtbl.find_opt parent key with
-      | Some p -> up p (key :: acc_chain)
-      | None -> key :: acc_chain
-    in
-    up key []
+(* Deterministic BFS from a handler: effects sorted per node, the
+   first hit per category wins, parents give the chain. *)
+let entry_chains g facts (entry : Cmt_graph.node) =
+  let reach, chain_to =
+    Cmt_graph.bfs g ~refs:(fun k -> (Hashtbl.find facts k).refs) entry.n_key
+  in
+  let hits =
+    List.fold_left
+      (fun hits key ->
+        List.fold_left
+          (fun hits a ->
+            if List.exists (fun (c, _, _) -> c = a.a_cat) hits then hits
+            else (a.a_cat, key, a) :: hits)
+          hits
+          (List.sort
+             (fun a b ->
+               let c = Int.compare a.a_line b.a_line in
+               if c <> 0 then c else String.compare a.a_desc b.a_desc)
+             (Hashtbl.find facts key).ambs))
+      [] reach
   in
   List.rev_map
     (fun (cat, key, a) ->
@@ -566,58 +308,32 @@ let entry_chains acc (entry : node) =
         chain_to key @ [ Printf.sprintf "%s (%s:%d)" a.a_desc a.a_file a.a_line ]
       in
       (cat, chain, a))
-    !hits
+    hits
 
-let is_entry (n : node) =
-  List.mem n.n_name Rules.entry_points
-  && List.exists
-       (fun root ->
-         String.length n.n_file >= String.length root
-         && String.sub n.n_file 0 (String.length root) = root)
-       Rules.entry_roots
-
-(* A synthetic location at a node's definition site (typed findings
-   anchor on the binding, not the effect — the chain carries the
-   effect's own file:line). *)
-let node_loc (n : node) =
-  let pos =
-    {
-      Lexing.pos_fname = n.n_file;
-      pos_lnum = n.n_line;
-      pos_bol = 0;
-      pos_cnum = n.n_col;
-    }
-  in
-  { Location.loc_ghost = false; loc_start = pos; loc_end = pos }
-
-let report_r9 acc =
-  if rule_active acc "R9" then
+let report_r9 g facts =
+  if Cmt_graph.rule_active g "R9" then
     List.iter
-      (fun key ->
-        match Hashtbl.find_opt acc.k_nodes key with
-        | Some n when is_entry n ->
+      (fun (n : Cmt_graph.node) ->
+        if Cmt_graph.is_entry n then
           List.iter
             (fun (cat, chain, (a : amb)) ->
-              emit acc ~chain ~rule:"R9" ~loc:(node_loc n)
+              Cmt_graph.emit g ~chain ~rule:"R9" ~loc:(Cmt_graph.node_loc n)
                 (Printf.sprintf "handler %s can reach %s: %s" n.n_key
                    (cat_label cat) a.a_desc))
-            (entry_chains acc n)
-        | _ -> ())
-      (List.sort String.compare acc.k_keys)
+            (entry_chains g facts n))
+      (Cmt_graph.nodes g)
 
 (* --- R10: msg constructor liveness ------------------------------------ *)
 
-let report_r10 acc =
-  if rule_active acc "R10" then
+let report_r10 g st =
+  if Cmt_graph.rule_active g "R10" then
     List.iter
       (fun (key, cstrs) ->
         List.iter
           (fun (name, loc) ->
             let ck = key ^ "#" ^ name in
-            let built = Hashtbl.mem acc.k_built ck in
-            let matched = Hashtbl.mem acc.k_matched ck in
             let problem =
-              match (built, matched) with
+              match (Hashtbl.mem st.built ck, Hashtbl.mem st.matched ck) with
               | false, false -> Some "never constructed and never matched"
               | false, true -> Some "never constructed"
               | true, false -> Some "never explicitly matched"
@@ -625,206 +341,47 @@ let report_r10 acc =
             in
             match problem with
             | Some what ->
-              emit acc ~rule:"R10" ~loc
+              Cmt_graph.emit g ~rule:"R10" ~loc
                 (Printf.sprintf
                    "dead protocol message: constructor %s of %s is %s" name
                    key what)
             | None -> ())
           cstrs)
-      (List.sort
-         (fun (a, _) (b, _) -> String.compare a b)
-         acc.k_msgs)
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) st.msgs)
+
+let visit g st =
+  let facts =
+    Cmt_graph.walk g ~make:(fun () -> { refs = []; ambs = [] }) (collect g st)
+  in
+  report_r9 g facts;
+  report_r10 g st
 
 (* --- drivers ----------------------------------------------------------- *)
 
 let lint_units ?only units =
-  let acc =
-    {
-      k_nodes = Hashtbl.create 256;
-      k_keys = [];
-      k_built = Hashtbl.create 256;
-      k_matched = Hashtbl.create 256;
-      k_msgs = [];
-      k_findings = [];
-      k_used = [];
-      k_only = only;
-    }
+  let only = Option.map (List.map Rules.canon_id) only in
+  let selects rules =
+    match only with
+    | None -> true
+    | Some ids -> List.exists (fun r -> List.mem r ids) rules
   in
-  let ctxs =
-    List.map
-      (fun u ->
-        let pragmas =
-          match u.u_source with
-          | None -> []
-          | Some src ->
-            List.filter_map
-              (function Pragma.Pragma p -> Some p | Pragma.Malformed _ -> None)
-              (Pragma.scan src)
-        in
-        let ctx =
-          {
-            c_file = u.u_file;
-            c_paths = Hashtbl.create 32;
-            c_values = Hashtbl.create 64;
-            c_pragmas = pragmas;
-          }
-        in
-        let prefix = split_mangled u.u_name in
-        declare_items acc ctx ~prefix u.u_str.str_items;
-        (u, ctx))
-      units
+  let typed =
+    if selects [ "R7"; "R8"; "R9"; "R10" ] then
+      Some
+        { built = Hashtbl.create 256; matched = Hashtbl.create 256; msgs = [] }
+    else None
   in
-  List.iter
-    (fun (u, ctx) ->
-      let prefix = split_mangled u.u_name in
-      analyze_items acc ctx ~prefix u.u_str.str_items)
-    ctxs;
-  report_r9 acc;
-  report_r10 acc;
-  (* the race plane (R12-R15) runs over the same unit set *)
-  let race_findings, race_used =
-    Race_engine.lint_units ?only
-      (List.map
-         (fun (u, ctx) ->
-           {
-             Race_engine.r_prefix = split_mangled u.u_name;
-             r_file = u.u_file;
-             r_str = u.u_str;
-             r_pragmas = ctx.c_pragmas;
-           })
-         ctxs)
+  let g =
+    Cmt_graph.build ?only ?on_type:(Option.map register_type typed) units
   in
-  (* the allocation plane (R16-R19) likewise; its findings all anchor
-     on real source lines, so it contributes no synthetic used-sites *)
-  let alloc_findings =
-    Alloc_engine.lint_units ?only
-      (List.map
-         (fun (u, _) ->
-           {
-             Alloc_engine.a_prefix = split_mangled u.u_name;
-             a_file = u.u_file;
-             a_str = u.u_str;
-           })
-         ctxs)
-  in
-  ( List.sort Engine.compare_findings
-      (alloc_findings @ race_findings @ acc.k_findings),
-    race_used @ acc.k_used )
-
-(* --- loading units ----------------------------------------------------- *)
-
-let unit_name_of_file file =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
-
-let read_file path =
-  match open_in_bin path with
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  | exception Sys_error _ -> None
-
-let load_cmt path =
-  match Cmt_format.read_cmt path with
-  | exception exn -> Error (Printexc.to_string exn)
-  | infos -> (
-    match infos.cmt_annots with
-    | Cmt_format.Implementation str ->
-      let file =
-        match infos.cmt_sourcefile with
-        | Some f -> norm_fname f
-        | None -> norm_fname path
-      in
-      if Filename.check_suffix file ".ml-gen" then Ok None
-        (* dune-generated library-wrapper shims: alias lists, nothing
-           to analyse *)
-      else
-        Ok
-          (Some
-             {
-               u_name =
-                 String.concat "." (canon_head infos.cmt_modname);
-               u_file = file;
-               u_str = str;
-               u_source = read_file file;
-             })
-    | _ -> Ok None)
-
-let load_units paths =
-  let errs = ref [] in
-  let seen = Hashtbl.create 64 in
-  let units =
-    List.filter_map
-      (fun p ->
-        match load_cmt p with
-        | Ok (Some u) ->
-          if Hashtbl.mem seen u.u_name then None
-          else begin
-            Hashtbl.replace seen u.u_name ();
-            Some u
-          end
-        | Ok None -> None
-        | Error msg ->
-          errs :=
-            {
-              Engine.file = norm_fname p;
-              line = 1;
-              col = 0;
-              rule = "cmt";
-              severity = Rules.Error;
-              message = "cannot read cmt: " ^ msg;
-              chain = [];
-            }
-            :: !errs;
-          None)
-      (List.sort String.compare paths)
-  in
-  (units, List.rev !errs)
+  (* Plane order fixes the emission order, which the stable sort keeps
+     among findings on the same site. *)
+  Option.iter (visit g) typed;
+  if selects Race_engine.rules then Race_engine.visit g;
+  if selects Alloc_engine.rules then Alloc_engine.visit g;
+  Cmt_graph.results g
 
 let lint_cmts ?only paths =
-  let units, errs = load_units paths in
+  let units, errs = Cmt_graph.load_units paths in
   let findings, used = lint_units ?only units in
   (List.sort Engine.compare_findings (errs @ findings), used)
-
-(* The allocation plane alone over pre-loaded units: the bench's
-   [lint.alloc] micro row times the analyzer without re-reading cmts
-   or re-running the other planes. *)
-let alloc_pass ?only units =
-  Alloc_engine.lint_units ?only
-    (List.map
-       (fun u ->
-         {
-           Alloc_engine.a_prefix = split_mangled u.u_name;
-           a_file = u.u_file;
-           a_str = u.u_str;
-         })
-       units)
-
-(* --- in-process typechecking (fixture tests) --------------------------- *)
-
-(* Typecheck one implementation against the compiler's initial
-   environment (stdlib only). This is how the fixture tests exercise
-   R7-R10 without writing .cmt files to disk: the same analysis runs
-   on the freshly typed tree. *)
-let check_impl ~file source =
-  Clflags.dont_write_files := true;
-  ignore (Warnings.parse_options false "-a");
-  Compmisc.init_path ();
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf file;
-  Location.input_name := file;
-  match Parse.implementation lexbuf with
-  | exception exn -> Error ("cannot parse: " ^ Printexc.to_string exn)
-  | past -> (
-    match Typemod.type_structure env past with
-    | str, _, _, _, _ ->
-      Ok
-        {
-          u_name = unit_name_of_file file;
-          u_file = Engine.normalize file;
-          u_str = str;
-          u_source = Some source;
-        }
-    | exception exn -> Error ("cannot typecheck: " ^ Printexc.to_string exn))

@@ -13,14 +13,14 @@
    dune-mangled unit names do — or from [@ncc.hot] attributes.
 
    Fixtures typecheck in-process against the stdlib environment
-   (Typed_engine.check_impl). Pragma keywords inside fixture strings
+   (Cmt_graph.check_impl). Pragma keywords inside fixture strings
    are assembled by concatenation so the linter, which scans this file
    too, does not mistake them for waivers of the host file. *)
 
 let kw = "(* ncc-" ^ "lint:"
 
 let unit_of ~file src =
-  match Lint.Typed_engine.check_impl ~file src with
+  match Lint.Cmt_graph.check_impl ~file src with
   | Ok u -> u
   | Error e -> Alcotest.failf "fixture %s does not typecheck: %s" file e
 

@@ -9,7 +9,7 @@
    replicated verbatim as regression fixtures that must stay clean.
 
    Fixtures typecheck in-process against the stdlib environment
-   (Typed_engine.check_impl); Domain, Atomic, Mutex and Queue are all
+   (Cmt_graph.check_impl); Domain, Atomic, Mutex and Queue are all
    stdlib, so the real concurrency primitives appear in the fixtures.
 
    Pragma keywords inside fixture strings are assembled by
@@ -24,7 +24,7 @@ let contains s sub =
   go 0
 
 let unit_of ~file src =
-  match Lint.Typed_engine.check_impl ~file src with
+  match Lint.Cmt_graph.check_impl ~file src with
   | Ok u -> u
   | Error e -> Alcotest.failf "fixture %s does not typecheck: %s" file e
 

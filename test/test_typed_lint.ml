@@ -5,7 +5,7 @@
    rendering in both reporters.
 
    Fixtures are typechecked in-process against the stdlib environment
-   (Typed_engine.check_impl), so types the rules key on (Ts.t, a
+   (Cmt_graph.check_impl), so types the rules key on (Ts.t, a
    simulated-time [Engine.now]) are declared locally — the registries
    match by path suffix, so a local [Ts.t] exercises the same code
    path as [Kernel.Ts.t].
@@ -22,7 +22,7 @@ let contains s sub =
   go 0
 
 let unit_of ~file src =
-  match Lint.Typed_engine.check_impl ~file src with
+  match Lint.Cmt_graph.check_impl ~file src with
   | Ok u -> u
   | Error e -> Alcotest.failf "fixture %s does not typecheck: %s" file e
 
@@ -148,6 +148,27 @@ let r9_chain () =
          f'.Lint.Engine.chain
      | fs -> Alcotest.failf "second run: %d findings" (List.length fs))
   | fs -> Alcotest.failf "expected exactly one R9 finding, got %d" (List.length fs)
+
+(* A handler reaching an effect through a module alias: the alias
+   resolves to its target's nodes, so the chain crosses it. *)
+let r9_module_alias () =
+  match
+    typed ~file:"lib/fixture_alias.ml"
+      "module Inner = struct\n  let jitter () = Random.int 10\nend\n\n\
+       module A = Inner\n\n\
+       let submit t = t + A.jitter ()\n"
+  with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "R9" f.Lint.Engine.rule;
+    Alcotest.(check (list string))
+      "chain through the alias"
+      [
+        "Fixture_alias.submit";
+        "Fixture_alias.Inner.jitter";
+        "Random.int (lib/fixture_alias.ml:2)";
+      ]
+      f.Lint.Engine.chain
+  | fs -> Alcotest.failf "expected one R9 finding, got %d" (List.length fs)
 
 let r9_mutation_and_waiver () =
   (* a handler mutating a module-global is flagged... *)
@@ -325,6 +346,7 @@ let suite =
     Alcotest.test_case "R8 fires" `Quick r8_fires;
     Alcotest.test_case "R8 clean and waived" `Quick r8_clean;
     Alcotest.test_case "R9 multi-hop call chain" `Quick r9_chain;
+    Alcotest.test_case "R9 through a module alias" `Quick r9_module_alias;
     Alcotest.test_case "R9 mutation and effect-site waiver" `Quick
       r9_mutation_and_waiver;
     Alcotest.test_case "R9 clean" `Quick r9_clean;
