@@ -389,34 +389,6 @@ let micro () =
              Sim.Engine.run engine
            done))
   in
-  (* Before/after pair for the R17 net-trace fix: send_faulty's trace
-     helper used to run kasprintf unconditionally — every message
-     built its trace string even with tracing off — and the fixed
-     helper checks Sim.Trace.active first, paying only a load and a
-     branch on the (default) cold side. Both rows run with tracing
-     off, which is how every benchmark and test runs. *)
-  let trace_guarded =
-    let sink = ref 0 in
-    Test.make ~name:"net trace fmt guarded x100 (off)"
-      (Staged.stage (fun () ->
-           for i = 1 to 100 do
-             if Sim.Trace.active () then
-               Format.kasprintf
-                 (fun s -> sink := !sink + String.length s)
-                 "%d -> %d (arrives +%.0fus)" i (i + 1) 3.5
-           done))
-  in
-  let trace_eager_ref =
-    let sink = ref 0 in
-    Test.make ~name:"net trace fmt eager ref x100 (off)"
-      (Staged.stage (fun () ->
-           for i = 1 to 100 do
-             Format.kasprintf
-               (fun s ->
-                 if Sim.Trace.active () then sink := !sink + String.length s)
-               "%d -> %d (arrives +%.0fus)" i (i + 1) 3.5
-           done))
-  in
   let zipf =
     let z = Sim.Rng.zipf_create ~n:1_000_000 ~theta:0.8 in
     let r = Sim.Rng.create 1 in
@@ -575,8 +547,6 @@ let micro () =
       heap_boxed_ref;
       net_arena;
       net_closure_ref;
-      trace_guarded;
-      trace_eager_ref;
       zipf;
       zipf_table_memo_hit;
       zipf_table_create_ref;

@@ -160,21 +160,24 @@ let () =
   (match List.filter (fun r -> not (Sys.file_exists r)) roots with
    | [] -> ()
    | missing -> die ("no such path(s): " ^ String.concat " " missing));
+  (* (name, path): findings are matched and reported by the
+     repo-relative name; the file is read from the path the walk
+     found. *)
   let files =
     List.rev
       (List.fold_left
          (fun acc root -> walk ~ext:".ml" ~skip_dot:true root acc)
          [] roots)
-    |> List.map Lint.Engine.normalize
-    |> List.sort_uniq String.compare
+    |> List.map (fun path -> (Lint.Paths.norm_fname path, path))
+    |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
   in
   if o.waivers then begin
     (* inventory mode: list every waiver pragma under the roots and
        exit; malformed pragmas are lint findings, not inventory rows *)
     let items =
       List.concat_map
-        (fun file ->
-          match In_channel.with_open_bin file In_channel.input_all with
+        (fun (file, path) ->
+          match In_channel.with_open_bin path In_channel.input_all with
           | source ->
             List.filter_map
               (function
@@ -199,7 +202,7 @@ let () =
       let cmts = List.rev (walk ~ext:".cmt" ~skip_dot:false dir []) in
       Lint.Typed_engine.lint_cmts ?only:o.rules cmts
   in
-  let in_scope f = List.mem f.Lint.Engine.file files in
+  let in_scope f = List.mem_assoc f.Lint.Engine.file files in
   let typed_in_scope, typed_stray = List.partition in_scope typed in
   (* Findings the cmt walk produced for files outside the requested
      roots are dropped; unreadable-cmt errors always surface. *)
@@ -208,7 +211,7 @@ let () =
   in
   let findings =
     List.concat_map
-      (fun file ->
+      (fun (file, path) ->
         let typed =
           List.filter (fun f -> f.Lint.Engine.file = file) typed_in_scope
         in
@@ -217,7 +220,7 @@ let () =
             (fun (f, line) -> if f = file then Some line else None)
             used_sites
         in
-        Lint.Engine.lint_file ~typed ?only:o.rules ~used_sites file)
+        Lint.Engine.lint_file ~typed ?only:o.rules ~used_sites path)
       files
     @ typed_stray
   in

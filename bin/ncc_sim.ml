@@ -40,6 +40,11 @@ let find_workload ~n_servers wname =
       (String.concat ", " (Workload.Registry.names ~n_servers));
     exit 2
 
+let print_dropped_note rec_ =
+  if Obs.Recorder.n_dropped rec_ > 0 then
+    Printf.printf "note: %d events past the recorder limit were dropped\n"
+      (Obs.Recorder.n_dropped rec_)
+
 let figures =
   [
     ("params", fun ~jobs:_ ~scale:_ -> Experiments.params ());
@@ -138,7 +143,9 @@ let run_cmd =
     Arg.(
       value & opt int 0
       & info [ "trace" ]
-          ~doc:"Dump the last N traced events (message sends/handles) after the run.")
+          ~doc:
+            "Attach a span recorder and print the last N recorded events as a \
+             text timeline after the run.")
   in
   let check =
     Arg.(
@@ -204,7 +211,6 @@ let run_cmd =
   in
   let f (pname, p) wname load n_servers n_clients duration seed replicas trace check
       check_window check_ceiling faults_seed drop dup request_timeout =
-    if trace > 0 then Sim.Trace.enable ~capacity:(max 4096 trace) ();
     let mk = find_workload ~n_servers wname in
     let w = mk () in
     let warmup = Harness.Runner.default.Harness.Runner.warmup in
@@ -244,7 +250,8 @@ let run_cmd =
         }
       in
       let mx = Obs.Metrics.create () in
-      let r = Harness.Runner.run ~label:pname ~metrics:mx p w cfg in
+      let obs = if trace > 0 then Some (Obs.Recorder.create ()) else None in
+      let r = Harness.Runner.run ~label:pname ?obs ~metrics:mx p w cfg in
       Printf.printf
         "protocol=%s workload=%s offered=%.0f/s\n\
          committed=%d (%.0f/s)  gave_up=%d  dropped=%d\n\
@@ -296,11 +303,13 @@ let run_cmd =
             exit 1
           | _ -> ())
        | _ -> ());
-      if trace > 0 then begin
+      match obs with
+      | Some rec_ ->
         Printf.printf "--- last %d traced events (of %d) ---\n" trace
-          (Sim.Trace.emitted ());
-        Sim.Trace.dump ~last:trace Format.std_formatter
-      end
+          (Obs.Recorder.n_events rec_);
+        Obs.Export.timeline ~last:trace rec_ Format.std_formatter;
+        print_dropped_note rec_
+      | None -> ()
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -874,9 +883,7 @@ let trace_cmd =
       "wrote %s (protocol=%s committed=%d, %.0f tx/s); open in ui.perfetto.dev\n"
       out result.Harness.Runner.protocol result.Harness.Runner.committed
       result.Harness.Runner.throughput;
-    if Obs.Recorder.n_dropped rec_ > 0 then
-      Printf.printf "note: %d events past the recorder limit were dropped\n"
-        (Obs.Recorder.n_dropped rec_);
+    print_dropped_note rec_;
     if timeline > 0 then
       Obs.Export.timeline ~last:timeline rec_ Format.std_formatter
   in

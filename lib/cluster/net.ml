@@ -210,12 +210,9 @@ type 'msg t = {
   mutable fl_dummy : 'msg option;  (* slot-clearing filler *)
 }
 
-(* Handler execution at service completion: trace, observability span,
-   then the handler itself. Shared by both service paths. *)
+(* Handler execution at service completion: observability span, then
+   the handler itself. Shared by both service paths. *)
 let finish_service t node ~src msg ~start ~c =
-  if Sim.Trace.active () then
-    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"handle"
-      (Printf.sprintf "node %d handles message from %d" node.ctx.self src);
   (match t.obs with
    | Some r ->
      let name = match node.phase_of with Some f -> f msg | None -> "handle" in
@@ -307,10 +304,7 @@ let deliver t ~src ~flight node msg =
          ~ts:(Sim.Engine.now t.net_engine)
          ~args:[ ("src", string_of_int src) ]
          ()
-     | None -> ());
-    if Sim.Trace.active () then
-      Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"fault"
-        (Printf.sprintf "message %d -> %d lost: node down" src dst)
+     | None -> ())
   end
 
 (* Open the in-flight async span for one network copy of a message.
@@ -383,9 +377,6 @@ let fl_alloc t msg =
 
 let send_clean t ~src ~dst msg =
   let delay = Latency.sample t.net_rng t.latency ~src ~dst in
-  if Sim.Trace.active () then
-    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"send"
-      (Printf.sprintf "%d -> %d (arrives +%.0fus)" src dst (delay *. 1e6));
   let flight = t.messages_sent in
   flight_begin t ~src ~dst ~flight;
   let i = fl_alloc t msg in
@@ -395,26 +386,27 @@ let send_clean t ~src ~dst msg =
   t.fl_msgs.(i) <- msg;
   Sim.Engine.schedule t.net_engine ~delay t.fl_thunks.(i)
 
+(* A message that never reaches the wire: a [dropped] instant on the
+   sender's track. [cause] is [sender_down], [partition] or [drop]. *)
+let dropped t ~src ~dst cause =
+  match t.obs with
+  | Some r ->
+    Obs.Recorder.instant r ~node:src ~name:"dropped" ~cat:"fault"
+      ~ts:(Sim.Engine.now t.net_engine)
+      ~args:[ ("dst", string_of_int dst); ("cause", cause) ]
+      ()
+  | None -> ()
+
 let send_faulty t ~src ~dst msg =
   let now = Sim.Engine.now t.net_engine in
-  (* Format only when tracing is on: the old shape ran kasprintf first
-     and tested [Trace.active] inside the continuation, building the
-     string (R17) on every untraced send. ikfprintf consumes the
-     format arguments without rendering anything. *)
-  let trace cat fmt =
-    if Sim.Trace.active () then
-      Format.kasprintf (fun s -> Sim.Trace.emit ~time:now ~cat s) fmt
-    else Format.ikfprintf ignore Format.str_formatter fmt
-  in
-  if not t.nodes.(src).up then
-    trace "fault" "send %d -> %d suppressed: sender down" src dst
+  if not t.nodes.(src).up then dropped t ~src ~dst "sender_down"
   else if Faults.partitioned t.faults ~now ~a:src ~b:dst then begin
     t.n_dropped <- t.n_dropped + 1;
-    trace "fault" "message %d -> %d lost: link partitioned" src dst
+    dropped t ~src ~dst "partition"
   end
   else if Sim.Rng.flip t.fault_rng t.faults.Faults.drop then begin
     t.n_dropped <- t.n_dropped + 1;
-    trace "fault" "message %d -> %d dropped" src dst
+    dropped t ~src ~dst "drop"
   end
   else begin
     let base = Latency.sample t.net_rng t.latency ~src ~dst in
@@ -425,8 +417,6 @@ let send_faulty t ~src ~dst msg =
       end
       else 0.0
     in
-    trace "send" "%d -> %d (arrives +%.0fus)" src dst
-      ((base +. extra) *. 1e6);
     let node = t.nodes.(dst) in
     let flight = t.messages_sent in
     flight_begin t ~src ~dst ~flight;
@@ -436,8 +426,13 @@ let send_faulty t ~src ~dst msg =
     if Sim.Rng.flip t.fault_rng t.faults.Faults.duplicate then begin
       t.n_duplicated <- t.n_duplicated + 1;
       let dup_delay = Latency.sample t.net_rng t.latency ~src ~dst in
-      trace "fault" "message %d -> %d duplicated (copy +%.0fus)" src dst
-        (dup_delay *. 1e6);
+      (match t.obs with
+       | Some r ->
+         Obs.Recorder.instant r ~node:src ~name:"duplicated" ~cat:"fault"
+           ~ts:now
+           ~args:[ ("dst", string_of_int dst) ]
+           ()
+       | None -> ());
       (* The duplicate is its own network copy: a second b/e pair under
          the same correlation id keeps the trace balanced. *)
       flight_begin t ~src ~dst ~flight;
@@ -452,6 +447,14 @@ let send t ~src ~dst msg =
   if Faults.is_none t.faults then send_clean t ~src ~dst msg
   else send_faulty t ~src ~dst msg
 
+(* A [crash] or [restart] instant on the node's own track. *)
+let node_instant t id name =
+  match t.obs with
+  | Some r ->
+    Obs.Recorder.instant r ~node:id ~name ~cat:"fault"
+      ~ts:(Sim.Engine.now t.net_engine) ()
+  | None -> ()
+
 let crash t id =
   let node = t.nodes.(id) in
   if node.up then begin
@@ -460,18 +463,14 @@ let crash t id =
     ib_clear node.inbox;
     node.busy <- false;
     t.n_crashes <- t.n_crashes + 1;
-    if Sim.Trace.active () then
-      Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"fault"
-        (Printf.sprintf "node %d crashed" id)
+    node_instant t id "crash"
   end
 
 let restart t id =
   let node = t.nodes.(id) in
   if not node.up then begin
     node.up <- true;
-    if Sim.Trace.active () then
-      Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"fault"
-        (Printf.sprintf "node %d restarted" id);
+    node_instant t id "restart";
     (match node.on_restart with Some f -> f () | None -> ());
     service t node
   end

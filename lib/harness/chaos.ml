@@ -2,8 +2,8 @@
    schedule and check the resulting history strictly. Each seed fully
    determines the run — workload arrivals, network latencies and the
    fault schedule all derive from it — so a failing seed is a one-line
-   reproduction, and the rolling trace digest certifies that a replay
-   really did take the same path. *)
+   reproduction, and the digest of the run's recorded spans certifies
+   that a replay really did take the same path. *)
 
 type report = {
   protocol : string;
@@ -12,7 +12,7 @@ type report = {
   gave_up : int;
   check : string;  (* the checker verdict, verbatim *)
   ok : bool;       (* check passed (commits may still be few) *)
-  digest : string; (* hex digest of the full event trace *)
+  digest : string; (* Obs.Export.digest of the run's recorded spans *)
   faults : Cluster.Faults.spec;
 }
 
@@ -54,11 +54,8 @@ let check_ok verdict = String.length verdict >= 2 && String.sub verdict 0 2 = "o
 
 let run ?allow_crashes ?base protocol workload ~seed =
   let cfg = config ?allow_crashes ?base ~seed () in
-  Sim.Trace.reset_digest ();
-  Sim.Trace.enable_digest ();
-  let r = Runner.run protocol workload cfg in
-  let digest = Sim.Trace.digest () in
-  Sim.Trace.disable_digest ();
+  let obs = Obs.Recorder.create () in
+  let r = Runner.run ~obs protocol workload cfg in
   {
     protocol = r.Runner.protocol;
     seed;
@@ -66,15 +63,14 @@ let run ?allow_crashes ?base protocol workload ~seed =
     gave_up = r.Runner.gave_up;
     check = r.Runner.check_result;
     ok = check_ok r.Runner.check_result;
-    digest;
+    digest = Obs.Export.digest obs;
     faults = cfg.Runner.faults;
   }
 
 (* Run a whole seed matrix, optionally across domains. Each job is
-   self-contained — it builds its own workload from the factory and its
-   own config from the seed — and the digest machinery is domain-local,
-   so reports are identical for any [jobs]; they come back in the order
-   of [seeds]. *)
+   self-contained — it builds its own workload from the factory, its
+   own config from the seed and its own recorder — so reports are
+   identical for any [jobs]; they come back in the order of [seeds]. *)
 let run_matrix ?(jobs = 1) ?allow_crashes ?base protocol ~workload ~seeds =
   Pool.map ~jobs
     (fun seed -> run ?allow_crashes ?base protocol (workload ()) ~seed)

@@ -1,6 +1,6 @@
 (** Seeded chaos runs: one simulation under a randomized fault schedule
-    derived from the seed, history-checked strictly, with a trace
-    digest for byte-identical replay verification. *)
+    derived from the seed, history-checked strictly, with a digest of
+    the run's recorded spans for byte-identical replay verification. *)
 
 type report = {
   protocol : string;
@@ -9,7 +9,7 @@ type report = {
   gave_up : int;
   check : string;  (** the checker verdict, verbatim *)
   ok : bool;       (** the history check passed *)
-  digest : string; (** hex digest of the full event trace *)
+  digest : string; (** {!Obs.Export.digest} of the run's recorded spans *)
   faults : Cluster.Faults.spec;  (** the schedule the seed produced *)
 }
 
@@ -33,7 +33,7 @@ val run :
   seed:int ->
   report
 (** Run one chaos simulation. Same seed, same protocol, same workload
-    => identical trace digest. *)
+    => identical digest. *)
 
 val run_matrix :
   ?jobs:int ->

@@ -3,7 +3,7 @@
    A sweep (figure curve, chaos seed matrix, bench suite) is a batch of
    fully self-contained jobs: each one builds its own Sim.Engine, Rng,
    topology, net and store inside the closure, and every piece of
-   ambient per-run state (txn ids, version ids, the tracer) is
+   ambient per-run state (txn ids, version ids) is
    domain-local and reset at the start of Runner.run. That isolation is
    what makes the parallel schedule invisible: a job computes the same
    result whichever domain runs it and whenever it starts.

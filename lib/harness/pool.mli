@@ -4,7 +4,7 @@
     simulation world (engine, rng, net, stores) and touch no shared
     mutable state — lint rule R12 audits submitted closures for
     escaping mutable state statically, and per-run ambient counters
-    (txn ids, version ids, the tracer) are domain-local. Under that
+    (txn ids, version ids) are domain-local. Under that
     contract, results are byte-identical to sequential execution for
     any [jobs]: slots are keyed by submission index and merged in
     canonical order after all workers join.

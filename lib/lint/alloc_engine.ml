@@ -30,10 +30,9 @@
    standard line-scoped waiver pragmas apply.
 
    Cold regions are exempt (the diagnostics paths run only when
-   enabled, not per event): the true-branch of a conditional guarded
-   by Rules.cold_guard_fns (the tracing toggle) and every arm of a
-   match on an option of a Rules.cold_option_types type (the attached-
-   recorder test of the observability plane). Branch pruning is also
+   enabled, not per event): every arm of a match on an option of a
+   Rules.cold_option_types type (the attached-recorder test of the
+   observability plane). Branch pruning is also
    semantic: [if false then e] never runs e, so neither sites nor
    call-graph edges are collected there — a function only reachable
    through a dead branch stays cold.
@@ -110,11 +109,6 @@ let bool_const (e : Typedtree.expression) =
     | _ -> None)
   | _ -> None
 
-let is_cold_guard ctx (cond : Typedtree.expression) =
-  match Cmt_graph.head_name ctx cond with
-  | Some s -> Paths.matches_any ~fns:Rules.cold_guard_fns s
-  | None -> false
-
 let hot_attr_of (attrs : Parsetree.attributes) =
   List.exists
     (fun (a : Parsetree.attribute) -> a.attr_name.txt = Rules.hot_attribute)
@@ -124,8 +118,9 @@ let hot_attr_of (attrs : Parsetree.attributes) =
 
 (* Walk one top-level binding's body, attributing call-graph edges and
    allocation sites to [node]. Cold regions and dead branches are
-   skipped for *both*, so a function only referenced under
-   [if Sim.Trace.active ()] or a dead branch never becomes hot. *)
+   skipped for *both*, so a function only referenced under a
+   [match (obs : Recorder.t option)] arm or a dead branch never
+   becomes hot. *)
 let scan_node ctx (facts : facts option) expr =
   let add_ref key =
     match facts with
@@ -141,17 +136,11 @@ let scan_node ctx (facts : facts option) expr =
   let in_loop = ref 0 in
   let expr_hook sub (e : Typedtree.expression) =
     match e.exp_desc with
-    | Typedtree.Texp_ifthenelse (c, t, e_opt) ->
-      if is_cold_guard ctx c then begin
-        (* tracing-only branch: diagnostics, not per-event cost *)
-        sub.Tast_iterator.expr sub c;
-        Option.iter (sub.Tast_iterator.expr sub) e_opt
-      end
-      else (
-        match bool_const c with
-        | Some true -> sub.Tast_iterator.expr sub t
-        | Some false -> Option.iter (sub.Tast_iterator.expr sub) e_opt
-        | None -> Tast_iterator.default_iterator.expr sub e)
+    | Typedtree.Texp_ifthenelse (c, t, e_opt) -> (
+      match bool_const c with
+      | Some true -> sub.Tast_iterator.expr sub t
+      | Some false -> Option.iter (sub.Tast_iterator.expr sub) e_opt
+      | None -> Tast_iterator.default_iterator.expr sub e)
     | Typedtree.Texp_match (scrut, _cases, _)
       when is_cold_option scrut.exp_type ->
       (* attached-recorder dispatch: all arms are the traced path *)

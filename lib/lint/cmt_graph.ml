@@ -442,7 +442,7 @@ let check_impl ~file source =
       Ok
         {
           u_name = unit_name_of_file file;
-          u_file = Engine.normalize file;
+          u_file = Paths.norm_fname file;
           u_str = str;
           u_source = Some source;
         }

@@ -33,12 +33,6 @@ let compare_findings a b =
       let c = Int.compare a.col b.col in
       if c <> 0 then c else String.compare a.rule b.rule
 
-(* "./lib/sim/rng.ml" and "lib/sim/rng.ml" are the same file. *)
-let normalize file =
-  let n = String.length file in
-  if n >= 2 && String.sub file 0 2 = "./" then String.sub file 2 (n - 2)
-  else file
-
 let rec flatten = function
   | Lident s -> [ s ]
   | Ldot (l, s) -> flatten l @ [ s ]
@@ -89,7 +83,7 @@ let rec binds_variable (p : pattern) =
   | _ -> false
 
 let run_rules ?only ~file source =
-  let file = normalize file in
+  let file = Paths.norm_fname file in
   let only = Option.map (List.map Rules.canon_id) only in
   let active =
     List.filter
@@ -227,7 +221,7 @@ let run_rules ?only ~file source =
    waivers are not reported at all: a waiver for an unselected rule is
    not dead, it is just out of scope for this run. *)
 let lint_source ?(typed = []) ?only ?(used_sites = []) ~file source =
-  let file = normalize file in
+  let file = Paths.norm_fname file in
   let raw = run_rules ?only ~file source @ typed in
   let pragmas, malformed =
     List.partition_map

@@ -18,14 +18,13 @@ type finding = {
 
 val compare_findings : finding -> finding -> int
 
-(* "./lib/sim/rng.ml" -> "lib/sim/rng.ml". *)
-val normalize : string -> string
-
 (* Lint one compilation unit: run the syntactic rules (restricted to
    the ids in [only] when given), merge the typed-engine findings for
    this file ([typed]), and apply waivers to the union. [used_sites]
    names pragma lines the typed engine already consumed (R9
-   effect-site waivers), so they are not flagged as unused. *)
+   effect-site waivers), so they are not flagged as unused. [file] is
+   matched against allowlists and reported as {!Paths.norm_fname}
+   gives it. *)
 val lint_source :
   ?typed:finding list ->
   ?only:string list ->

@@ -13,8 +13,8 @@
      R4  no Obj tricks (unchecked casts defeat every other guarantee);
      R5  no top-level mutable state: module-global state survives
          across runs inside one process and breaks run-to-run isolation
-         unless it is explicitly reset (Sim.Trace is the audited
-         exception);
+         unless it is explicitly reset (no file is exempt; a reset-on-run
+         global carries a waiver);
      R6  no exception-swallowing [with _ ->]: a swallowed exception
          turns a deterministic crash into a silent divergence.
 
@@ -216,7 +216,7 @@ let all : rule list =
          values, or carry an audited reset-on-run waiver.";
       example = "let counter = ref 0";
       matcher = Toplevel_mutable;
-      allowed_files = [ "lib/sim/trace.ml" ];
+      allowed_files = [];
     };
     {
       id = "R6";
@@ -529,7 +529,7 @@ let container_read_fns =
 
 (* R9 effect categories map onto the per-file allowlists of the
    syntactic rule that polices the same thing directly: Sim.Rng may
-   touch Random (R1), Sim.Trace may mutate its own globals (R5). *)
+   touch Random (R1); R5 exempts no file, so no mutation is allowed. *)
 let effect_allowed_files = function
   | `Random -> (match find "R1" with Some r -> r.allowed_files | None -> [])
   | `Mutation -> (match find "R5" with Some r -> r.allowed_files | None -> [])
@@ -567,12 +567,6 @@ let dls_fns = [ "Domain.DLS.get"; "Domain.DLS.set" ]
 (* R16-R19: the attribute that marks a declaration hot ([@ncc.hot]);
    the Hotpaths module holds the seed list of always-hot entry points. *)
 let hot_attribute = "ncc.hot"
-
-(* R16/R17 cold regions: a conditional guarded by one of these is the
-   disabled-by-default diagnostics path — allocations under the guard
-   run only when tracing is on, so they are exempt. Matched by
-   whole-component suffix. *)
-let cold_guard_fns = [ "Sim.Trace.active"; "Trace.active" ]
 
 (* R16/R17 cold regions: matching an option of one of these types is
    the observability plane's attached-recorder test; the Some branch

@@ -106,10 +106,8 @@ val dls_fns : string list
    the Hotpaths module holds the seed list of always-hot entries). *)
 val hot_attribute : string
 
-(* R16/R17 cold regions: guard functions whose true-branch is the
-   disabled-by-default tracing path, and option types whose Some match
-   is the attached-recorder test of the observability plane. *)
-val cold_guard_fns : string list
+(* R16/R17 cold regions: option types whose match is the
+   attached-recorder test of the observability plane. *)
 val cold_option_types : string list
 
 (* R17: string-building functions (each call allocates the result). *)

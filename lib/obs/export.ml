@@ -115,6 +115,34 @@ let timeline ?last r ppf =
         args)
     evs
 
+(* --- replay digest ------------------------------------------------------ *)
+
+(* MD5 over a compact binary encoding of the retained events in
+   emission order, then the overflow count. Times go in as their IEEE
+   bits, so a one-ulp difference changes the digest; equal digests
+   mean two runs recorded the same events. *)
+let digest r =
+  let b = Buffer.create 4096 in
+  let str s = Buffer.add_string b s; Buffer.add_char b '\000' in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  List.iter
+    (fun (e : Recorder.event) ->
+      Buffer.add_char b
+        (match e.ev_kind with
+         | Recorder.Complete -> 'X'
+         | Recorder.Async_b -> 'b'
+         | Recorder.Async_e -> 'e'
+         | Recorder.Instant -> 'i');
+      str e.ev_name; str e.ev_cat;
+      int e.ev_node; int e.ev_id;
+      float e.ev_ts; float e.ev_dur;
+      int (List.length e.ev_args);
+      List.iter (fun (k, v) -> str k; str v) e.ev_args)
+    (Recorder.events r);
+  int (Recorder.n_dropped r);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* --- structural validation --------------------------------------------- *)
 
 type summary = {

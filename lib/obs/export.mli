@@ -19,6 +19,12 @@ val chrome_trace_string : Recorder.t -> string
     final k events). *)
 val timeline : ?last:int -> Recorder.t -> Format.formatter -> unit
 
+(** Hex MD5 of the retained events in emission order (kind, name,
+    cat, node, id, the IEEE bits of ts and dur, args) and
+    {!Recorder.n_dropped}: the replay oracle of chaos runs. Equal
+    digests mean the two recorders hold the same events. *)
+val digest : Recorder.t -> string
+
 type summary = {
   v_events : int;       (** total events *)
   v_complete : int;     (** complete spans *)

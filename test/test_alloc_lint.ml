@@ -132,14 +132,14 @@ let r17_pool_submit () =
     (pool_stub ^ "let dispatch x =\n  Pool.submit pool (fun () -> ignore x)\n")
 
 let r17_cold_regions () =
-  check_sites "allocation under a tracing guard stays clean"
+  check_sites "allocation under an attached-recorder arm stays clean"
     ~only:[ "R17" ]
     []
-    "module Trace = struct\n\
-    \  let active () = false\n\
-     end\n\
-     let[@ncc.hot] send x =\n\
-    \  if Trace.active () then print_string (string_of_int x ^ \"!\")\n";
+    "module Recorder = struct type t = { mutable n : int } end\n\
+     let[@ncc.hot] send obs x =\n\
+    \  match (obs : Recorder.t option) with\n\
+    \  | Some _ -> print_string (string_of_int x ^ \"!\")\n\
+    \  | None -> ()\n";
   check_sites "allocation on a matched cold recorder stays clean"
     ~only:[ "R17" ]
     []
@@ -219,12 +219,24 @@ let r18_dead_branch () =
     [ ("fixture.ml", 1, "R18") ]
     "let helper x = Some x\n\
      let[@ncc.hot] entry x = if true then ignore (helper x)\n";
-  check_sites "callee only referenced under a tracing guard stays cold"
+  check_sites "callee only referenced under a cold recorder arm stays cold"
     ~only:[ "R18" ]
     []
-    "module Trace = struct let active () = false end\n\
+    "module Recorder = struct type t = { mutable n : int } end\n\
      let describe x = Some x\n\
-     let[@ncc.hot] entry x = if Trace.active () then ignore (describe x)\n"
+     let[@ncc.hot] entry obs x =\n\
+    \  match (obs : Recorder.t option) with\n\
+    \  | Some _ -> ignore (describe x)\n\
+    \  | None -> ()\n";
+  check_sites "the same callee under a plain option match is hot"
+    ~only:[ "R18" ]
+    [ ("fixture.ml", 2, "R18") ]
+    "module Recorder = struct type t = { mutable n : int } end\n\
+     let describe x = Some x\n\
+     let[@ncc.hot] entry obs x =\n\
+    \  match (obs : int option) with\n\
+    \  | Some _ -> ignore (describe x)\n\
+    \  | None -> ()\n"
 
 let r18_waived () =
   Alcotest.(check (list (triple string int string)))

@@ -71,7 +71,53 @@ let replay_reproduces_digest () =
   (* different seeds take different paths *)
   let c = Chaos.run Ncc.protocol (workload ()) ~seed:8 in
   Alcotest.(check bool) "different seed, different trace" true
-    (c.Chaos.digest <> a.Chaos.digest)
+    (c.Chaos.digest <> a.Chaos.digest);
+  (* each job carries its own recorder: the matrix is the same on one
+     domain or two, digests included *)
+  let matrix jobs =
+    Chaos.run_matrix ~jobs Ncc.protocol ~workload ~seeds:[ 1; 2; 3; 4; 5; 6 ]
+  in
+  let show r = Format.asprintf "%a" Chaos.pp_report r ^ " " ^ r.Chaos.digest in
+  Alcotest.(check (list string)) "jobs 1 = jobs 2"
+    (List.map show (matrix 1))
+    (List.map show (matrix 2))
+
+(* Seed 4's schedule has drops, duplicates, partitions and crashes.
+   Every fault the net counts is also a fault instant on the recorded
+   trace, and the trace stays balanced. *)
+let fault_instants_match_counters () =
+  let cfg = Chaos.config ~seed:4 () in
+  let obs = Obs.Recorder.create () in
+  let r = Harness.Runner.run ~obs Ncc.protocol (workload ()) cfg in
+  let counter name =
+    match List.assoc_opt name r.Harness.Runner.counters with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "counter %s missing" name
+  in
+  let instants pred =
+    List.length
+      (List.filter
+         (fun (e : Obs.Recorder.event) -> e.ev_kind = Obs.Recorder.Instant && pred e)
+         (Obs.Recorder.events obs))
+  in
+  let named n (e : Obs.Recorder.event) = e.ev_name = n in
+  let cause c (e : Obs.Recorder.event) =
+    named "dropped" e && List.assoc_opt "cause" e.ev_args = Some c
+  in
+  let partition = instants (cause "partition") and drop = instants (cause "drop") in
+  Alcotest.(check bool) "schedule partitions and drops" true
+    (partition > 0 && drop > 0);
+  Alcotest.(check int) "dropped = net.dropped" (counter "net.dropped")
+    (partition + drop);
+  Alcotest.(check bool) "schedule duplicates" true (counter "net.duplicated" > 0);
+  Alcotest.(check int) "duplicated = net.duplicated" (counter "net.duplicated")
+    (instants (named "duplicated"));
+  Alcotest.(check bool) "schedule crashes" true (counter "net.crashes" > 0);
+  Alcotest.(check int) "crash = net.crashes" (counter "net.crashes")
+    (instants (named "crash"));
+  match Obs.Export.validate ~allow_open:true obs with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "trace invalid: %s" e
 
 (* The timestamp-inversion pitfall, demonstrated: with response timing
    control disabled the strict checker must catch violations across a
@@ -91,6 +137,8 @@ let suite =
   @ [
       Alcotest.test_case "replay reproduces the trace digest" `Quick
         replay_reproduces_digest;
+      Alcotest.test_case "fault instants agree with the fault counters" `Quick
+        fault_instants_match_counters;
       Alcotest.test_case "NCC-noRTC is caught by the strict checker" `Quick
         no_rtc_is_caught;
     ]

@@ -71,6 +71,32 @@ let validate_catches_imbalance () =
   Obs.Recorder.async_e r4 ~node:0 ~name:"txn" ~cat:"txn" ~id:1 ~ts:4.0 ();
   Alcotest.(check bool) "balanced after outer end" true (err r4 = None)
 
+(* --- replay digest ------------------------------------------------------ *)
+
+(* Equal event streams give equal digests; a one-ulp timestamp, a
+   changed arg value, or only a different overflow count changes it. *)
+let export_digest () =
+  let digest ?limit ?(ts = 1.5) ?(dst = "3") ?(extra = 0) () =
+    let r = Obs.Recorder.create ?limit () in
+    Obs.Recorder.complete r ~node:0 ~name:"execute" ~cat:"rpc" ~ts:1.0 ~dur:0.5 ();
+    Obs.Recorder.instant r ~node:1 ~name:"dropped" ~cat:"fault" ~ts
+      ~args:[ ("dst", dst); ("cause", "drop") ]
+      ();
+    Obs.Recorder.async_b r ~node:1 ~name:"txn" ~cat:"txn" ~id:7 ~ts:2.0 ();
+    for _ = 1 to extra do
+      Obs.Recorder.instant r ~node:0 ~name:"tick" ~cat:"t" ~ts:3.0 ()
+    done;
+    Obs.Export.digest r
+  in
+  let base = digest () in
+  Alcotest.(check string) "same events, same digest" base (digest ());
+  Alcotest.(check string) "an unreached limit is invisible" base
+    (digest ~limit:3 ());
+  let differs name d = Alcotest.(check bool) name true (d <> base) in
+  differs "one-ulp ts" (digest ~ts:(Float.succ 1.5) ());
+  differs "arg value" (digest ~dst:"4" ());
+  differs "n_dropped" (digest ~limit:3 ~extra:1 ())
+
 (* --- JSON writer ------------------------------------------------------- *)
 
 let jsonw_format () =
@@ -186,15 +212,20 @@ let exporter_goldens () =
 (* Attaching a recorder and metrics registry must not change the run:
    recording draws no randomness and schedules no events, so the
    result records are field-for-field identical. Checked for NCC and a
-   baseline with a different message/abort structure (dOCC). *)
-let observer_effect (pname, p) =
+   baseline with a different message/abort structure (dOCC), fault-free
+   and under a chaos schedule (faults, crashes and a request timeout:
+   the fault instants are sink sites of their own). *)
+let observer_effect ?(chaos = false) (pname, p) =
   QCheck.Test.make
-    ~name:(Printf.sprintf "observer effect is zero (%s)" pname)
+    ~name:
+      (Printf.sprintf "observer effect is zero (%s%s)" pname
+         (if chaos then ", chaos faults" else ""))
     ~count:3
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let cfg =
-        {
+        if chaos then Harness.Chaos.config ~seed ()
+        else {
           Harness.Runner.default with
           Harness.Runner.seed;
           n_servers = 3;
@@ -262,6 +293,7 @@ let suite =
     Alcotest.test_case "recorder event limit" `Quick recorder_limit;
     Alcotest.test_case "validator catches imbalance" `Quick
       validate_catches_imbalance;
+    Alcotest.test_case "export digest" `Quick export_digest;
     Alcotest.test_case "json writer format" `Quick jsonw_format;
     Alcotest.test_case "metrics registry" `Quick metrics_registry;
     Alcotest.test_case "exporter goldens (tiny NCC run)" `Quick exporter_goldens;
@@ -270,4 +302,6 @@ let suite =
       [
         observer_effect ("NCC", Ncc.protocol);
         observer_effect ("dOCC", Baselines.docc);
+        observer_effect ~chaos:true ("NCC", Ncc.protocol);
+        observer_effect ~chaos:true ("dOCC", Baselines.docc);
       ]

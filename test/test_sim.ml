@@ -161,72 +161,3 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ heap_pops_sorted; heap_stable_sort; exponential_mean; zipf_bounds ]
-
-let trace_ring () =
-  Sim.Trace.enable ~capacity:4 ();
-  Alcotest.(check bool) "active" true (Sim.Trace.active ());
-  for i = 1 to 10 do
-    Sim.Trace.emit ~time:(float_of_int i) ~cat:"t" (string_of_int i)
-  done;
-  Alcotest.(check int) "all counted" 10 (Sim.Trace.emitted ());
-  let evs = Sim.Trace.events () in
-  Alcotest.(check (list string)) "ring keeps the last 4, oldest first"
-    [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Sim.Trace.ev_msg) evs);
-  Sim.Trace.disable ();
-  Sim.Trace.emit ~time:99.0 ~cat:"t" "ignored";
-  Alcotest.(check int) "disabled tracer drops" 10 (Sim.Trace.emitted ())
-
-let trace_capture_from_net () =
-  Sim.Trace.enable ~capacity:64 ();
-  let seen = ref 0 in
-  let bed =
-    Harness.Testbed.make ~n_servers:2 ~n_clients:1 Ncc.protocol
-      ~on_outcome:(fun ~client:_ _ -> incr seen)
-  in
-  let c = List.hd bed.Harness.Testbed.clients in
-  bed.Harness.Testbed.submit ~client:c
-    (Kernel.Txn.make ~client:c [ [ Kernel.Types.Write (1, 5) ] ]);
-  bed.Harness.Testbed.run_until_quiet ();
-  Sim.Trace.disable ();
-  Alcotest.(check bool) "events captured" true (Sim.Trace.emitted () > 2);
-  Alcotest.(check bool) "sends and handles present" true
-    (List.exists (fun e -> e.Sim.Trace.ev_cat = "send") (Sim.Trace.events ())
-    && List.exists (fun e -> e.Sim.Trace.ev_cat = "handle") (Sim.Trace.events ()))
-
-(* Regression: the tracer is a global singleton, and [enable_digest]
-   used to clear the rolling digest as a side effect — a second enable
-   mid-run silently wiped the history accumulated so far and broke the
-   replay oracle. Enabling must be idempotent; only [reset_digest]
-   starts a fresh stream. *)
-let trace_digest_mid_run_enable () =
-  let emit_run () =
-    Sim.Trace.emit ~time:1.0 ~cat:"a" "one";
-    Sim.Trace.emit ~time:2.0 ~cat:"b" "two"
-  in
-  Sim.Trace.reset_digest ();
-  Sim.Trace.enable_digest ();
-  emit_run ();
-  let full = Sim.Trace.digest () in
-  Sim.Trace.disable_digest ();
-  Sim.Trace.reset_digest ();
-  Sim.Trace.enable_digest ();
-  Sim.Trace.emit ~time:1.0 ~cat:"a" "one";
-  Sim.Trace.enable_digest ();  (* mid-run: must keep accumulated history *)
-  Sim.Trace.emit ~time:2.0 ~cat:"b" "two";
-  let resumed = Sim.Trace.digest () in
-  Sim.Trace.disable_digest ();
-  Alcotest.(check string) "mid-run enable keeps the digest" full resumed;
-  let before_reset = Sim.Trace.digest () in
-  Sim.Trace.reset_digest ();
-  Alcotest.(check bool) "reset starts a fresh stream" true
-    (Sim.Trace.digest () <> before_reset)
-
-let suite =
-  suite
-  @ [
-      Alcotest.test_case "trace ring buffer" `Quick trace_ring;
-      Alcotest.test_case "trace captures net events" `Quick trace_capture_from_net;
-      Alcotest.test_case "trace digest survives mid-run enable" `Quick
-        trace_digest_mid_run_enable;
-    ]
