@@ -265,8 +265,9 @@ let micro () =
            for i = 1 to 100 do
              Sim.Heap.push h (float_of_int (i * 7919 mod 100)) i
            done;
-           while Option.is_some (Sim.Heap.pop h) do
-             ()
+           while not (Sim.Heap.is_empty h) do
+             ignore (Sim.Heap.top_prio h);
+             ignore (Sim.Heap.pop_min h)
            done))
   in
   (* Before/after pair for the R16/R17 heap fix, in the shape the sim
@@ -582,18 +583,16 @@ let micro () =
 
 (* --- GC telemetry: allocation volume of a simulation run --------------- *)
 
-(* One NCC run per scheduler, reported as gc: rows from the runner's
-   GC gauges (minor words allocated, major collections, top heap
-   words). Host-dependent figures, like micro rows: allocation counts
-   shift with the compiler and runtime, so parity byte-diffs must
-   select experiments that exclude [gcstats]. The pair documents that
-   switching the event queue to the wheel does not regress allocation
-   while the run results themselves stay byte-identical. *)
+(* One NCC run reported as the gc:NCC row from the runner's GC gauges
+   (minor words allocated, major collections, top heap words).
+   Host-dependent figures, like micro rows: allocation counts shift
+   with the compiler and runtime, so parity byte-diffs must select
+   experiments that exclude [gcstats]. *)
 let gcstats () =
   print_string "\n== GC telemetry (simulation runs) ==\n";
   let s = scale () in
   let base = Experiments.base_cfg s in
-  let base =
+  let cfg =
     { base with Harness.Runner.offered_load = (if !quick then 4_000. else 10_000.) }
   in
   let mk =
@@ -601,34 +600,27 @@ let gcstats () =
     | Some mk -> mk
     | None -> failwith "gcstats: google-f1 workload missing"
   in
-  List.map
-    (fun (name, sched) ->
-      let mx = Obs.Metrics.create () in
-      let r =
-        Harness.Runner.run ~label:"NCC" ~metrics:mx Ncc.protocol (mk ())
-          { base with Harness.Runner.sched }
-      in
-      let gauge g =
-        match List.assoc_opt (g, Obs.Metrics.run_scope) (Obs.Metrics.gauges mx) with
-        | Some v -> v
-        | None -> 0.0
-      in
-      let minor_words = gauge "gc.minor_words" in
-      let major = int_of_float (gauge "gc.major_collections") in
-      let top_heap = int_of_float (gauge "gc.top_heap_words") in
-      Printf.printf
-        "%-24s committed=%d  minor_words=%.3e  words/commit=%.0f  majors=%d  \
-         top_heap=%d\n"
-        name r.Harness.Runner.committed minor_words
-        (if r.Harness.Runner.committed = 0 then 0.0
-         else minor_words /. float_of_int r.Harness.Runner.committed)
-        major top_heap;
-      Harness.Report.gc_row ~experiment:name ~minor_words
-        ~major_collections:major ~top_heap_words:top_heap)
-    [
-      ("NCC:heap", Sim.Engine.Binary_heap);
-      ("NCC:wheel", Sim.Engine.Timing_wheel);
-    ]
+  let mx = Obs.Metrics.create () in
+  let r = Harness.Runner.run ~label:"NCC" ~metrics:mx Ncc.protocol (mk ()) cfg in
+  let gauge g =
+    match List.assoc_opt (g, Obs.Metrics.run_scope) (Obs.Metrics.gauges mx) with
+    | Some v -> v
+    | None -> 0.0
+  in
+  let minor_words = gauge "gc.minor_words" in
+  let major = int_of_float (gauge "gc.major_collections") in
+  let top_heap = int_of_float (gauge "gc.top_heap_words") in
+  Printf.printf
+    "%-24s committed=%d  minor_words=%.3e  words/commit=%.0f  majors=%d  \
+     top_heap=%d\n"
+    "NCC" r.Harness.Runner.committed minor_words
+    (if r.Harness.Runner.committed = 0 then 0.0
+     else minor_words /. float_of_int r.Harness.Runner.committed)
+    major top_heap;
+  [
+    Harness.Report.gc_row ~experiment:"NCC" ~minor_words
+      ~major_collections:major ~top_heap_words:top_heap;
+  ]
 
 (* --- analyzer cost: the typed lint planes, timed --------------------- *)
 

@@ -327,10 +327,10 @@ let write_file path s =
 let scale_cmd =
   let doc =
     "Cluster-scale open-loop run: 64+ servers, 10k+ clients, 10-100M offered \
-     transactions, stream-checked in bounded memory. Runs on the timing-wheel \
-     scheduler by default; results are byte-identical for any --jobs and \
-     either scheduler. Latency is the uniform model (the default per-pair \
-     asymmetric table is O(nodes^2) and unusable at this node count)."
+     transactions, stream-checked in bounded memory. Results are \
+     byte-identical for any --jobs. Latency is the uniform model (the \
+     default per-pair asymmetric table is O(nodes^2) and unusable at this \
+     node count)."
   in
   let protocol =
     Arg.(
@@ -362,22 +362,6 @@ let scale_cmd =
       value & opt float 0.0
       & info [ "l"; "load" ] ~docv:"TXN/S"
           ~doc:"Offered load, transactions/second (0 = 2000 x servers).")
-  in
-  let sched =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("wheel", Sim.Engine.Timing_wheel);
-               ("heap", Sim.Engine.Binary_heap);
-             ])
-          Sim.Engine.Timing_wheel
-      & info [ "sched" ]
-          ~doc:
-            "Event queue: $(b,wheel) (O(1) amortised, the default here) or \
-             $(b,heap) (O(log n), the historical default elsewhere). Run \
-             results are byte-identical either way.")
   in
   let arrival =
     Arg.(
@@ -480,10 +464,9 @@ let scale_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:
             "Write per-seed results as JSON rows. Deterministic (host stats \
-             stay on stdout): byte-identical for any --jobs and either \
-             --sched.")
+             stay on stdout): byte-identical for any --jobs.")
   in
-  let f (pname, p) wname servers clients txns load sched arrival curve_period
+  let f (pname, p) wname servers clients txns load arrival curve_period
       admission_cap hot_key_threshold hot_key_halflife store_gc_period
       store_gc_keep check check_window check_ceiling heap_ceiling_mb seeds out
       jobs =
@@ -517,7 +500,6 @@ let scale_cmd =
         latency = Harness.Runner.Uniform { one_way = 250e-6; jitter = 25e-6 };
         check;
         check_window;
-        sched;
         arrival;
         admission_cap = (if admission_cap > 0 then Some admission_cap else None);
         hot_key_shed =
@@ -612,10 +594,10 @@ let scale_cmd =
   in
   Cmd.v (Cmd.info "scale" ~doc)
     Term.(
-      const f $ protocol $ workload $ servers $ clients $ txns $ load $ sched
-      $ arrival $ curve_period $ admission_cap $ hot_key_threshold
-      $ hot_key_halflife $ store_gc_period $ store_gc_keep $ check
-      $ check_window $ check_ceiling $ heap_ceiling_mb $ seeds $ out $ jobs_arg)
+      const f $ protocol $ workload $ servers $ clients $ txns $ load $ arrival
+      $ curve_period $ admission_cap $ hot_key_threshold $ hot_key_halflife
+      $ store_gc_period $ store_gc_keep $ check $ check_window $ check_ceiling
+      $ heap_ceiling_mb $ seeds $ out $ jobs_arg)
 
 (* --- chaos -------------------------------------------------------------- *)
 

@@ -84,8 +84,9 @@ type worker = {
   m : Mutex.t;
   cv : Condition.t;
   stop : bool ref;
-  dom : unit Domain.t;
+  dom : float Domain.t;   (* returns the minor words it allocated *)
   mutable joined : bool;  (* shutdown already ran (producer-side only) *)
+  mutable words : float;  (* set by the join *)
 }
 
 let worker () =
@@ -106,7 +107,12 @@ let worker () =
       loop ()
     end
   in
-  { q; m; cv; stop; dom = Domain.spawn loop; joined = false }
+  let run () =
+    let w0 = Gc.minor_words () in
+    loop ();
+    Gc.minor_words () -. w0
+  in
+  { q; m; cv; stop; dom = Domain.spawn run; joined = false; words = 0.0 }
 
 let post w f =
   Mutex.lock w.m;
@@ -126,5 +132,7 @@ let shutdown w =
     w.stop := true;
     Condition.signal w.cv;
     Mutex.unlock w.m;
-    Domain.join w.dom
+    w.words <- Domain.join w.dom
   end
+
+let minor_words w = w.words

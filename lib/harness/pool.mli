@@ -52,3 +52,8 @@ val post : worker -> (unit -> unit) -> unit
     calls (e.g. an exception-safe finally clause plus the normal
     collection path) are no-ops after the first. *)
 val shutdown : worker -> unit
+
+(** Minor-heap words the worker domain allocated ([Gc.minor_words]
+    counts only the calling domain); 0 until [shutdown] has joined
+    it. *)
+val minor_words : worker -> float

@@ -65,10 +65,6 @@ type config = {
   replicas_per_server : int;    (* replica nodes per server (replicated protocols) *)
   request_timeout : float option;  (* per-attempt client timeout (None = never) *)
   faults : Cluster.Faults.spec;    (* injected network/node faults *)
-  sched : Sim.Engine.sched;
-      (* event-queue implementation; results are byte-identical either
-         way (pinned by the wheel/heap identity tests), the wheel is
-         O(1) per event for cluster-scale runs *)
   arrival : arrival_curve;         (* arrival-rate shape (default Constant) *)
   admission_cap : int option;
       (* system-wide in-flight transaction ceiling; arrivals beyond it
@@ -105,7 +101,6 @@ let default =
     replicas_per_server = 0;
     request_timeout = None;
     faults = Cluster.Faults.none;
-    sched = Sim.Engine.Binary_heap;
     arrival = Constant;
     admission_cap = None;
     hot_key_shed = None;
@@ -215,7 +210,7 @@ let latency_model rng topo = function
 let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg =
   Txn.reset_ids ();
   Mvstore.Store.reset_vids ();
-  let engine = Sim.Engine.create ~sched:cfg.sched () in
+  let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create cfg.seed in
   let topo =
     Cluster.Topology.make ~replicas_per_server:cfg.replicas_per_server
@@ -640,16 +635,22 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
      stopped and joined, or the process hangs at exit on its
      [Condition.wait]; shutdown is idempotent, so the normal
      collection path below re-calls it harmlessly. *)
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Gc.quick_stat () and words0 = Gc.minor_words () in
   Fun.protect
     ~finally:(fun () ->
       match stream_worker with Some w -> Pool.shutdown w | None -> ())
     (fun () -> Sim.Engine.run ~until:horizon engine);
   (* GC telemetry over the simulation proper (setup excluded): gauges
      only, never part of [result], so run results stay identical
-     whether or not anyone reads them. *)
+     whether or not anyone reads them. Minor words: this domain's
+     exact [Gc.minor_words] (the [quick_stat] field omits the current
+     minor heap and sums all domains) plus the async checker's. *)
   let gc1 = Gc.quick_stat () in
-  Obs.Metrics.set_gauge mx "gc.minor_words" (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+  let worker_words =
+    match stream_worker with Some w -> Pool.minor_words w | None -> 0.0
+  in
+  Obs.Metrics.set_gauge mx "gc.minor_words"
+    (Gc.minor_words () -. words0 +. worker_words);
   Obs.Metrics.set_gauge mx "gc.major_collections"
     (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
   Obs.Metrics.set_gauge mx "gc.top_heap_words"

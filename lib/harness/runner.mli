@@ -70,11 +70,6 @@ type config = {
           retried when it fires (default [None] = wait forever) *)
   faults : Cluster.Faults.spec;
       (** injected network/node faults (default {!Cluster.Faults.none}) *)
-  sched : Sim.Engine.sched;
-      (** event-queue implementation (default [Binary_heap]). Results
-          are byte-identical either way — the wheel/heap identity
-          tests pin this — but [Timing_wheel] is O(1) amortised per
-          event, which is what cluster-scale runs want. *)
   arrival : arrival_curve;  (** arrival-rate shape (default [Constant]) *)
   admission_cap : int option;
       (** system-wide in-flight transaction ceiling; arrivals beyond it

@@ -4,7 +4,7 @@
    other registries): "Sim.Heap.push" matches the binding the sim
    library's Heap module declares under dune's mangled unit name.
    These are the functions ROADMAP item 1 names as the cluster-scale
-   cost centres — the event heap and clock arithmetic, per-message
+   cost centres — the event queue and clock arithmetic, per-message
    network dispatch, the store's version lookup, and the streaming
    checker's feed path. They are hot whether or not anyone remembers
    to annotate them; [@ncc.hot] attributes extend this set for
@@ -20,16 +20,14 @@ let seeds =
     "Sim.Engine.run";
     "Sim.Engine.schedule";
     "Sim.Engine.schedule_at";
-    (* Sim.Heap: the event queue backing the loop. *)
-    "Sim.Heap.push";
-    "Sim.Heap.pop";
-    "Sim.Heap.top_prio";
-    "Sim.Heap.pop_min";
-    (* Sim.Wheel: the timing-wheel alternative to the heap — same
-       once-per-event duty cycle, so the same discipline. *)
+    (* Sim.Wheel: the event queue backing the loop. *)
     "Sim.Wheel.schedule";
     "Sim.Wheel.top_prio";
     "Sim.Wheel.pop_min";
+    (* Sim.Heap: the wheel's same-tick and overflow queue. *)
+    "Sim.Heap.push";
+    "Sim.Heap.top_prio";
+    "Sim.Heap.pop_min";
     (* Sim.Clock: per-read skewed-time arithmetic. *)
     "Sim.Clock.read";
     "Sim.Clock.read_ns";

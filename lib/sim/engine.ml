@@ -3,82 +3,55 @@
    scheduled for the same instant run in scheduling order, so a run is a
    pure function of the seed and the initial events.
 
-   The queue is selectable: the binary heap (the historical default,
-   O(log n) per event) or the hierarchical timing wheel (O(1)
-   amortised, built for cluster-scale runs). Both deliver in exactly
-   (priority, scheduling-order) order, so the choice can never change
-   a run's result — the wheel/heap identity property pins this.
+   The queue is the hierarchical timing wheel ({!Wheel}): O(1)
+   amortised per event, delivering in exactly (priority,
+   scheduling-order) order, the order a drain of {!Heap} gives; the
+   wheel/heap identity tests pin this.
 
    The clock lives in a one-element [float array] rather than a mutable
    record field: in a mixed record every write to a float field boxes
    the float (R16), and the loop writes the clock once per event. A
    flat float array stores it unboxed. *)
 
-type sched = Binary_heap | Timing_wheel
-
-type queue = Qh of (unit -> unit) Heap.t | Qw of (unit -> unit) Wheel.t
-
 type t = {
   now : float array;  (* single cell: unboxed current time *)
-  q : queue;
+  q : (unit -> unit) Wheel.t;
   mutable stopped : bool;
   mutable executed : int;
 }
 
-let create ?(sched = Binary_heap) () =
-  {
-    now = [| 0.0 |];
-    q =
-      (match sched with
-       | Binary_heap -> Qh (Heap.create ())
-       | Timing_wheel -> Qw (Wheel.create ()));
-    stopped = false;
-    executed = 0;
-  }
+let create () =
+  { now = [| 0.0 |]; q = Wheel.create (); stopped = false; executed = 0 }
 
 let now t = t.now.(0)
 
 let executed_events t = t.executed
 
-let pending t = match t.q with Qh h -> Heap.length h | Qw w -> Wheel.length w
-
-let push t prio f =
-  match t.q with Qh h -> Heap.push h prio f | Qw w -> Wheel.schedule w prio f
+let pending t = Wheel.length t.q
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  push t (t.now.(0) +. delay) f
+  Wheel.schedule t.q (t.now.(0) +. delay) f
 
 let schedule_at t ~time f =
   if time < t.now.(0) then invalid_arg "Engine.schedule_at: time in the past";
-  push t time f
+  Wheel.schedule t.q time f
 
 let stop t = t.stopped <- true
 
-let q_is_empty t =
-  match t.q with Qh h -> Heap.is_empty h | Qw w -> Wheel.is_empty w
-
-let q_top_prio t =
-  match t.q with Qh h -> Heap.top_prio h | Qw w -> Wheel.top_prio w
-
-let q_pop_min t =
-  match t.q with Qh h -> Heap.pop_min h | Qw w -> Wheel.pop_min w
-
 (* Run until the queue drains, [until] passes, or [stop] is called. The
    event whose time exceeds [until] is left in the queue. The drain
-   uses is_empty/top_prio/pop_min, which allocate nothing per event;
-   the old peek_prio/pop pair built a float option plus a (float, fn)
-   tuple for every event delivered (R16/R17). *)
+   uses is_empty/top_prio/pop_min, which allocate nothing per event. *)
 let run ?until t =
   let horizon = match until with None -> Float.infinity | Some u -> u in
   let rec loop () =
     if t.stopped then ()
-    else if q_is_empty t then ()
+    else if Wheel.is_empty t.q then ()
     else begin
-      let time = q_top_prio t in
+      let time = Wheel.top_prio t.q in
       if time > horizon then t.now.(0) <- horizon
       else begin
-        let f = q_pop_min t in
+        let f = Wheel.pop_min t.q in
         t.now.(0) <- time;
         t.executed <- t.executed + 1;
         f ();

@@ -1,16 +1,10 @@
 (** Discrete-event simulation engine: virtual clock plus event queue.
-    Deterministic: equal-time events run in scheduling order. *)
-
-(** The event-queue implementation. Both deliver in exactly
-    (priority, scheduling-order) order, so the choice can never change
-    a run's result (the wheel/heap identity property pins this);
-    [Timing_wheel] is O(1) amortised per event and is what the
-    cluster-scale runs use, [Binary_heap] stays the default. *)
-type sched = Binary_heap | Timing_wheel
+    Deterministic: equal-time events run in scheduling order. The
+    queue is a {!Wheel}, O(1) amortised per event. *)
 
 type t
 
-val create : ?sched:sched -> unit -> t
+val create : unit -> t
 
 (** Current virtual time, in seconds. *)
 val now : t -> float

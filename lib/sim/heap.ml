@@ -1,7 +1,9 @@
 (* A classic array-based binary min-heap, specialised to (priority,
    sequence, payload) triples. The sequence number makes the order of
    equal-priority elements deterministic (FIFO in insertion order),
-   which the simulator relies on for reproducibility.
+   which the simulator relies on for reproducibility. It is the timing
+   wheel's same-tick and overflow queue, and the reference order the
+   wheel's identity tests drain against.
 
    The layout is structure-of-arrays: priorities live in a flat
    [float array], which OCaml stores unboxed, so a push writes the
@@ -102,15 +104,3 @@ let pop_min t =
     down 0
   end;
   payload
-
-(* Allocating convenience wrapper (tests, drains that want the
-   priority too). The event loop uses is_empty/top_prio/pop_min
-   instead, which allocate nothing per event. *)
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let prio = top_prio t in
-    let payload = pop_min t in
-    (* ncc-lint: allow R16, R17 — compat API: the option and the float tuple are the point; the non-allocating path is top_prio/pop_min *)
-    Some (prio, payload)
-  end

@@ -17,7 +17,3 @@ val top_prio : 'a t -> float
 (** Remove and return the minimum element's payload. Raises
     [Invalid_argument] when the heap is empty. *)
 val pop_min : 'a t -> 'a
-
-(** Remove and return the minimum element with its priority.
-    Allocating convenience wrapper over [top_prio]/[pop_min]. *)
-val pop : 'a t -> (float * 'a) option

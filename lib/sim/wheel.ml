@@ -1,23 +1,25 @@
-(* A hierarchical timing wheel specialised to the simulator's event
-   queue: O(1) amortised schedule and pop against the binary heap's
-   O(log n), with the same delivery contract — events come out in
-   (priority, scheduling-sequence) order, so equal-instant events keep
-   FIFO order and a run driven by the wheel is byte-identical to one
-   driven by {!Heap} (the qcheck identity property pins this).
+(* A hierarchical timing wheel: the simulator's event queue behind
+   {!Engine}. O(1) amortised schedule and pop against the binary
+   heap's O(log n), with the heap's delivery contract — events come
+   out in (priority, scheduling-sequence) order, so equal-instant
+   events keep FIFO order, and a drain of the wheel is identical to a
+   drain of {!Heap} (the qcheck identity properties pin this).
 
    Layout: [levels] wheels of [wsize] slots each; level [l] covers
    [wsize^(l+1)] ticks at a granularity of [wsize^l] ticks per slot. A
-   tick is [resolution] seconds. Placement is *window-aligned*: an
-   event goes to the smallest level at which its tick shares all bits
-   above that level's slot field with [base] (the current tick). That
-   invariant is what makes the forward-only slot scans in [advance]
-   complete: an entry at level [l] always lives at a slot index >= the
-   base's slot index at that level, because base never passes an
-   undelivered tick. (The naive delta-based placement — level by
-   log distance — breaks exactly here: a short-delta event landing in
-   the *next* window sits behind the scan cursor and is lost.)
+   tick is [resolution] (1 us); events within one tick are ordered by
+   exact priority, then sequence, so the tick width affects cost only,
+   never delivery order. Placement is *window-aligned*: an event goes
+   to the smallest level at which its tick shares all bits above that
+   level's slot field with [base] (the current tick). That invariant
+   is what makes the forward-only slot scans in [advance] complete: an
+   entry at level [l] always lives at a slot index >= the base's slot
+   index at that level, because base never passes an undelivered tick.
+   (The naive delta-based placement — level by log distance — breaks
+   exactly here: a short-delta event landing in the *next* window sits
+   behind the scan cursor and is lost.)
 
-   Four side structures complete the contract:
+   Five side structures complete the contract:
    - [cur_*]: the bucket being drained, sorted by (prio, seq). Buckets
      are not seq-sorted on arrival — overflow pulls interleave — so the
      sort is load-bearing, not defensive.
@@ -32,13 +34,16 @@
      every wheel entry, so the heap never competes with the scan.
    - [dummy]: first payload ever seen; drained slots are repointed at
      it so the wheel retains no delivered event (the 1M-churn test
-     bounds the footprint). *)
+     bounds the footprint).
+   - [sp_*]: one spare array triple that oversized buckets recycle
+     (see [spare_cap]). *)
 
 let wbits = 8
 let wsize = 1 lsl wbits  (* 256 slots per level *)
 let wmask = wsize - 1
 let levels = 4
 let span_bits = wbits * levels
+let resolution = 1e-6
 
 (* Ticks must stay well inside the OCaml int range: priorities mapping
    past this go straight to the overflow heap, ordered by the float
@@ -53,9 +58,13 @@ type 'a bucket = {
 }
 
 type 'a t = {
-  resolution : float;
   mutable base : int;              (* current tick; monotone *)
-  buckets : 'a bucket array;       (* levels * wsize, row-major *)
+  buckets : 'a bucket array array; (* [levels] rows of [wsize] slots *)
+  empty : 'a bucket;               (* shared by never-pushed slots *)
+  (* the spare triple: empty, or arrays of at most [spare_cap] *)
+  mutable sp_prios : float array;
+  mutable sp_seqs : int array;
+  mutable sp_data : 'a array;
   (* the current tick's drain, sorted by (prio, seq) *)
   mutable cur_prios : float array;
   mutable cur_seqs : int array;
@@ -69,14 +78,19 @@ type 'a t = {
   mutable dummy : 'a option;       (* slot-clearing filler *)
 }
 
-let create ?(resolution = 1e-6) () =
-  if resolution <= 0.0 then invalid_arg "Wheel.create: resolution";
+let new_bucket () = { b_prios = [||]; b_seqs = [||]; b_data = [||]; b_len = 0 }
+
+let create () =
+  let empty = new_bucket () in
   {
-    resolution;
     base = 0;
-    buckets =
-      Array.init (levels * wsize) (fun _ ->
-          { b_prios = [||]; b_seqs = [||]; b_data = [||]; b_len = 0 });
+    (* [wsize]-word rows stay young: one [levels * wsize] array filled
+       with the young [empty] would force a minor collection *)
+    buckets = Array.init levels (fun _ -> Array.make wsize empty);
+    empty;
+    sp_prios = [||];
+    sp_seqs = [||];
+    sp_data = [||];
     cur_prios = [||];
     cur_seqs = [||];
     cur_data = [||];
@@ -94,41 +108,77 @@ let is_empty t = t.count = 0
 
 (* --- buckets ----------------------------------------------------------- *)
 
-let bucket_grow b fill =
-  let cap = Array.length b.b_data in
-  let ncap = if cap = 0 then 8 else cap * 2 in
-  let fresh_p = Array.make ncap 0.0 in
-  Array.blit b.b_prios 0 fresh_p 0 b.b_len;
-  b.b_prios <- fresh_p;
-  let fresh_s = Array.make ncap 0 in
-  Array.blit b.b_seqs 0 fresh_s 0 b.b_len;
-  b.b_seqs <- fresh_s;
-  let fresh_d = Array.make ncap fill in
-  Array.blit b.b_data 0 fresh_d 0 b.b_len;
-  b.b_data <- fresh_d
-
-(* A drained bucket above this capacity returns to it. High-level slots
-   are revisited only once per wrap of their level (2^16 ticks for
-   level 1, 2^24 for level 2, ...), and every boundary crossing parks
-   a burst in a *fresh* slot — without the shrink each such slot would
-   pin its high-water capacity forever and the retained footprint would
-   creep with simulated time instead of tracking the pending population
-   (the churn test's flatness assertion catches exactly this). Buckets
-   at or below the cap keep their arrays, so the dense level-0 path
-   stays allocation-free in steady state; the shrink itself is one
-   small allocation per oversized drain, amortised across the events
-   that grew the bucket. *)
+(* A drained bucket above this capacity gives its arrays up. High-level
+   slots are revisited only once per wrap of their level (2^16 ticks
+   for level 1, 2^24 for level 2, ...), and every boundary crossing
+   parks a burst in a *fresh* slot — if each such slot kept its
+   high-water capacity, the retained footprint would creep with
+   simulated time instead of tracking the pending population (the
+   churn test's flatness assertion catches exactly this). Buckets at
+   or below the cap keep their arrays, so the dense level-0 path stays
+   allocation-free in steady state. *)
 let keep_cap = 32
 
-let bucket_shrink b fill =
-  if Array.length b.b_data > keep_cap then begin
-    b.b_prios <- Array.make keep_cap 0.0;
-    b.b_seqs <- Array.make keep_cap 0;
-    b.b_data <- Array.make keep_cap fill
+(* The largest arrays the spare triple holds. At paper density each
+   level-1 slot outgrows [keep_cap] every window (~70 events); a
+   drained slot's arrays become the spare and the next slot to outgrow
+   its own takes them, so that steady state allocates nothing. 1024
+   also recycles hot-key bursts, whose 512+-word arrays would go
+   straight to the major heap. *)
+let spare_cap = 1024
+
+let swap_spare t b =
+  let p = b.b_prios and s = b.b_seqs and d = b.b_data in
+  b.b_prios <- t.sp_prios;
+  b.b_seqs <- t.sp_seqs;
+  b.b_data <- t.sp_data;
+  t.sp_prios <- p;
+  t.sp_seqs <- s;
+  t.sp_data <- d
+
+(* [fill] (a pending event) seeds fresh payload slots. *)
+let bucket_grow t b fill =
+  let cap = Array.length b.b_data in
+  if Array.length t.sp_data > cap then begin
+    (* take the spare; the outgrown arrays become the spare, their
+       payload slots repointed at the dummy so the spare pins no event *)
+    Array.blit b.b_prios 0 t.sp_prios 0 b.b_len;
+    Array.blit b.b_seqs 0 t.sp_seqs 0 b.b_len;
+    Array.blit b.b_data 0 t.sp_data 0 b.b_len;
+    Array.fill b.b_data 0 b.b_len
+      (match t.dummy with Some d -> d | None -> fill);
+    swap_spare t b
+  end
+  else begin
+    let ncap = if cap = 0 then 8 else cap * 2 in
+    let fresh_p = Array.make ncap 0.0 in
+    Array.blit b.b_prios 0 fresh_p 0 b.b_len;
+    b.b_prios <- fresh_p;
+    let fresh_s = Array.make ncap 0 in
+    Array.blit b.b_seqs 0 fresh_s 0 b.b_len;
+    b.b_seqs <- fresh_s;
+    let fresh_d = Array.make ncap fill in
+    Array.blit b.b_data 0 fresh_d 0 b.b_len;
+    b.b_data <- fresh_d
   end
 
-let bucket_push b prio seq payload =
-  if b.b_len = Array.length b.b_data then bucket_grow b payload;
+(* On a drained bucket (slots already at the dummy): oversized arrays
+   go to the spare if they beat it, and the bucket keeps at most
+   [keep_cap] of whatever it gets back. *)
+let bucket_shrink t b =
+  let cap = Array.length b.b_data in
+  if cap > keep_cap then begin
+    if cap <= spare_cap && cap > Array.length t.sp_data then swap_spare t b;
+    if Array.length b.b_data > keep_cap then begin
+      b.b_prios <- [||];
+      b.b_seqs <- [||];
+      b.b_data <- [||]
+    end
+  end
+
+(* Inlined, so a caller's unboxed priority is stored without boxing. *)
+let[@inline] bucket_push t b prio seq payload =
+  if b.b_len = Array.length b.b_data then bucket_grow t b payload;
   b.b_prios.(b.b_len) <- prio;
   b.b_seqs.(b.b_len) <- seq;
   b.b_data.(b.b_len) <- payload;
@@ -136,18 +186,24 @@ let bucket_push b prio seq payload =
 
 (* --- placement --------------------------------------------------------- *)
 
-let tick_of t prio = int_of_float (prio /. t.resolution)
+let tick_of prio = int_of_float (prio /. resolution)
 
-(* Insert an in-window event ([tick]'s top window equals [base]'s) at
-   the smallest level whose upper bits match base — the window-aligned
-   rule. [tick >= base] is the caller's obligation. *)
-let place t ~tick ~prio ~seq payload =
+(* The bucket for an in-window tick ([tick]'s top window equals
+   [base]'s): the smallest level whose upper bits match base — the
+   window-aligned rule. [tick >= base] is the caller's obligation. *)
+let slot_bucket t tick =
   let l = ref 0 in
   while tick lsr (wbits * (!l + 1)) <> t.base lsr (wbits * (!l + 1)) do
     incr l
   done;
-  let slot = (tick lsr (wbits * !l)) land wmask in
-  bucket_push t.buckets.((!l * wsize) + slot) prio seq payload
+  let row = t.buckets.(!l) and j = (tick lsr (wbits * !l)) land wmask in
+  let b = row.(j) in
+  if b != t.empty then b
+  else begin
+    let b = new_bucket () in
+    row.(j) <- b;
+    b
+  end
 
 let schedule t prio payload =
   if prio < 0.0 then invalid_arg "Wheel.schedule: negative priority";
@@ -156,7 +212,7 @@ let schedule t prio payload =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.count <- t.count + 1;
-  let q = prio /. t.resolution in
+  let q = prio /. resolution in
   if q >= tick_clamp_f then
     (* ncc-lint: allow R17, R18 — far-future outlier: one pair on the rare overflow path; the in-window path allocates nothing *)
     Heap.push t.ovf prio (seq, payload)
@@ -169,7 +225,7 @@ let schedule t prio payload =
     else if tick lsr span_bits <> t.base lsr span_bits then
       (* ncc-lint: allow R17, R18 — beyond the wheel span: one pair per far-future event; pulled back in bulk at window entry *)
       Heap.push t.ovf prio (seq, payload)
-    else place t ~tick ~prio ~seq payload
+    else bucket_push t (slot_bucket t tick) prio seq payload
   end
 
 (* --- the (prio, seq) sort for the current bucket ----------------------- *)
@@ -256,7 +312,7 @@ let load_cur t b =
      for k = 0 to b.b_len - 1 do
        b.b_data.(k) <- d
      done;
-     bucket_shrink b d
+     bucket_shrink t b
    | None -> ());
   b.b_len <- 0;
   cur_sort t 0 (t.cur_len - 1)
@@ -268,12 +324,11 @@ let cascade t b =
   (match t.dummy with
    | Some d ->
      for k = 0 to b.b_len - 1 do
-       let prio = b.b_prios.(k) and seq = b.b_seqs.(k) in
-       let payload = b.b_data.(k) in
+       let prio = b.b_prios.(k) and payload = b.b_data.(k) in
        b.b_data.(k) <- d;
-       place t ~tick:(tick_of t prio) ~prio ~seq payload
+       bucket_push t (slot_bucket t (tick_of prio)) prio b.b_seqs.(k) payload
      done;
-     bucket_shrink b d
+     bucket_shrink t b
    | None -> assert false (* nonempty bucket implies a seeded dummy *));
   b.b_len <- 0
 
@@ -286,57 +341,51 @@ let wheel_len t =
 let rec pull_overflow t =
   if not (Heap.is_empty t.ovf) then begin
     let prio = Heap.top_prio t.ovf in
-    let q = prio /. t.resolution in
+    let q = prio /. resolution in
     if q < tick_clamp_f then begin
       let tick = int_of_float q in
       if tick lsr span_bits = t.base lsr span_bits then begin
         let seq, payload = Heap.pop_min t.ovf in
-        place t ~tick:(max tick t.base) ~prio ~seq payload;
+        bucket_push t (slot_bucket t (max tick t.base)) prio seq payload;
         pull_overflow t
       end
     end
   end
 
-(* Scan level [l] forward from base's slot; level-0 hits load [cur],
-   higher-level hits cascade and rescan from level 0. The forward-only
-   scan is complete because placement is window-aligned (see the
-   header comment). *)
-let rec scan t = scan_level t 0
+(* Scan each level forward from base's slot at that level; level-0
+   hits load [cur], higher-level hits cascade and rescan from level 0.
+   The forward-only scan is complete because placement is
+   window-aligned (see the header comment). *)
+let rec scan_level t l =
+  if l >= levels then false else find t l ((t.base lsr (wbits * l)) land wmask)
 
-and scan_level t l =
-  if l >= levels then false
+and find t l j =
+  if j >= wsize then scan_level t (l + 1)
   else begin
-    let off = wbits * l in
-    let base_slot = (t.base lsr off) land wmask in
-    let rec find j =
-      if j >= wsize then scan_level t (l + 1)
-      else begin
-        let b = t.buckets.((l * wsize) + j) in
-        if b.b_len = 0 then find (j + 1)
-        else if l = 0 then begin
-          t.base <- t.base land lnot wmask lor j;
-          load_cur t b;
-          true
-        end
-        else begin
-          let upper = t.base lsr (off + wbits) in
-          t.base <- ((upper lsl wbits) lor j) lsl off;
-          cascade t b;
-          scan t
-        end
-      end
-    in
-    find base_slot
+    let b = t.buckets.(l).(j) in
+    if b.b_len = 0 then find t l (j + 1)
+    else if l = 0 then begin
+      t.base <- t.base land lnot wmask lor j;
+      load_cur t b;
+      true
+    end
+    else begin
+      let off = wbits * l in
+      let upper = t.base lsr (off + wbits) in
+      t.base <- ((upper lsl wbits) lor j) lsl off;
+      cascade t b;
+      scan_level t 0
+    end
   end
 
 (* Make the next deliverable event visible in [cur] or [aux]; false
    when the wheel is completely empty. *)
 let advance t =
   if t.count = 0 then false
-  else if wheel_len t > 0 then scan t
+  else if wheel_len t > 0 then scan_level t 0
   else begin
     (* everything pending lives in the overflow heap *)
-    let q = Heap.top_prio t.ovf /. t.resolution in
+    let q = Heap.top_prio t.ovf /. resolution in
     if q >= tick_clamp_f then begin
       (* past the integer-tick clamp: every remaining entry is — drain
          them through aux, whose heap order preserves (prio, seq) *)
@@ -351,7 +400,7 @@ let advance t =
       let tick = int_of_float q in
       if tick > t.base then t.base <- tick;
       pull_overflow t;
-      scan t
+      scan_level t 0
     end
   end
 
@@ -399,7 +448,9 @@ let footprint_words t =
     (* float array: 1 word/element; int + payload arrays likewise *)
     (3 * Array.length b.b_data) + 16
   in
-  let acc = ref ((3 * Array.length t.cur_data) + 64) in
-  Array.iter (fun b -> acc := !acc + bucket_words b) t.buckets;
+  let acc =
+    ref ((3 * Array.length t.cur_data) + (3 * Array.length t.sp_data) + 64)
+  in
+  Array.iter (Array.iter (fun b -> acc := !acc + bucket_words b)) t.buckets;
   acc := !acc + (3 * Heap.length t.aux) + (4 * Heap.length t.ovf);
   !acc

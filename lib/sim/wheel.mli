@@ -1,20 +1,19 @@
-(** Hierarchical timing wheel with the same delivery contract as
-    {!Heap}: events come out in (priority, scheduling-order) order, so
-    equal-instant events keep FIFO order and either structure drives a
-    byte-identical simulation. Schedule and pop are O(1) amortised
-    (the heap pays O(log n)), which is what makes 10-100M-event
-    cluster-scale runs affordable. Far-future events park in an
+(** Hierarchical timing wheel, the event queue behind {!Engine}, with
+    the same delivery contract as {!Heap}: events come out in
+    (priority, scheduling-order) order, so equal-instant events keep
+    FIFO order. Schedule and pop are O(1) amortised (the heap pays
+    O(log n)), which is what makes 10-100M-event cluster-scale runs
+    affordable. Far-future events park in an
     overflow heap and re-enter the wheel as time reaches their window;
     delivered slots are cleared, so steady-state churn holds no
     garbage (the 1M-event churn test bounds [footprint_words]). *)
 
 type 'a t
 
-(** [create ?resolution ()] builds an empty wheel. [resolution] is the
-    tick width in seconds (default 1e-6): events closer together than
-    one tick are ordered by exact priority, then scheduling order, so
-    resolution affects cost only, never delivery order. *)
-val create : ?resolution:float -> unit -> 'a t
+(** An empty wheel with 1 us ticks: events closer together than one
+    tick are ordered by exact priority, then scheduling order, so the
+    tick width affects cost only, never delivery order. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -60,7 +60,7 @@ let r16_fires () =
   check_sites "float tuple in a seeded hot function fires" ~only:[ "R16" ]
     [ ("fixture.ml", 3, "R16") ]
     "module Sim = struct module Heap = struct\n\
-    \  let pop h =\n\
+    \  let top_prio h =\n\
     \    (1.0, h)\n\
      end end\n";
   check_sites "float into an option payload fires" ~only:[ "R16" ]

@@ -138,10 +138,10 @@ let rec schedules choices n =
 let exhaust ~name ~txns ~positions =
   let count = ref 0 and committed_some = ref false in
   List.iter
-    (fun sched ->
+    (fun fates ->
       incr count;
       let outcomes, verdict =
-        run_schedule ~cfg:Ncc.Msg.default_config ~txns (Array.of_list sched)
+        run_schedule ~cfg:Ncc.Msg.default_config ~txns (Array.of_list fates)
       in
       (match verdict with
        | Checker.Verdict.Ok -> ()

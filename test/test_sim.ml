@@ -1,6 +1,14 @@
 (* Simulation core: heap ordering, engine semantics, RNG distributions
    and per-node clocks. *)
 
+(* (priority, payload) of the minimum, removed; [None] when empty. *)
+let heap_pop h =
+  if Sim.Heap.is_empty h then None
+  else begin
+    let p = Sim.Heap.top_prio h in
+    Some (p, Sim.Heap.pop_min h)
+  end
+
 let heap_pops_sorted =
   QCheck.Test.make ~name:"heap pops in priority order" ~count:300
     QCheck.(list (pair (float_range 0.0 100.0) small_nat))
@@ -8,7 +16,7 @@ let heap_pops_sorted =
       let h = Sim.Heap.create () in
       List.iter (fun (p, v) -> Sim.Heap.push h p v) entries;
       let rec drain last acc =
-        match Sim.Heap.pop h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (p, v) ->
           if p < last then raise Exit;
@@ -30,7 +38,7 @@ let heap_stable_sort =
       let h = Sim.Heap.create () in
       List.iter (fun (p, v) -> Sim.Heap.push h (float_of_int p) v) entries;
       let rec drain acc =
-        match Sim.Heap.pop h with
+        match heap_pop h with
         | None -> List.rev acc
         | Some (p, v) -> drain ((p, v) :: acc)
       in
@@ -47,7 +55,7 @@ let heap_fifo_on_ties () =
   let h = Sim.Heap.create () in
   List.iter (fun v -> Sim.Heap.push h 1.0 v) [ 1; 2; 3; 4; 5 ];
   let order =
-    List.init 5 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> -1)
+    List.init 5 (fun _ -> match heap_pop h with Some (_, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "insertion order preserved" [ 1; 2; 3; 4; 5 ] order
 
