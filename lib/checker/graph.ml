@@ -1,105 +1,168 @@
-(* Shared serialization-graph machinery: adjacency building, the
-   dense freeze, and the iterative colored cycle search. Both the
-   post-hoc {!Rsg} checker and the streaming {!Stream} checker build
-   their graphs through this module, so a cycle witness means the same
-   thing in both.
+(* Shared serialization-graph machinery: the graph builder and the
+   iterative colored cycle search. Both the post-hoc {!Rsg} checker and
+   the streaming {!Stream} checker build their graphs through this
+   module and search them with the same DFS, so a cycle witness means
+   the same thing in both.
 
    Node encoding convention (shared with the checkers): transactions
    are their (positive) ids, the initial writer is 0, auxiliary
-   commit-event chain nodes are negative. *)
+   commit-event chain nodes are negative.
+
+   Nodes are numbered densely in order of first appearance and edges
+   are appended to flat (src, dst) arrays. [find_cycle] turns the edge
+   list into CSR arrays and searches those; nothing is hashed during
+   the search and every array is scratch that survives [clear], so a
+   caller that rebuilds a graph per epoch (the streaming checker)
+   allocates only when the graph outgrows every earlier one. Callers
+   that number their own nodes use [fresh]/[link]; {!Rsg} uses the
+   id-keyed [add_node]/[edge], which map ids through a hash table.
+
+   The search order is part of the output (it picks the witness, and
+   the planted-anomaly goldens pin it): roots are visited newest node
+   first, and each node's successors newest edge first, duplicates
+   included. *)
 
 type t = {
-  adj : (int, int list ref) Hashtbl.t;
-  mutable nodes : int list;
+  index : (int, int) Hashtbl.t;  (* original id -> node, for add_node/edge *)
+  mutable ids : int array;  (* node -> original id *)
+  mutable n : int;
+  mutable src : int array;  (* edge list, in insertion order *)
+  mutable dst : int array;
+  mutable m : int;
+  (* search scratch *)
+  mutable off : int array;  (* CSR offsets, n + 1 *)
+  mutable adj : int array;  (* CSR successors, m *)
+  mutable color : Bytes.t;  (* '\000' new, '\001' on stack, '\002' done *)
+  mutable stack_n : int array;  (* DFS path: node *)
+  mutable stack_p : int array;  (* DFS path: next successor position *)
 }
 
-let create () = { adj = Hashtbl.create 4096; nodes = [] }
+let create () =
+  {
+    index = Hashtbl.create 16;
+    ids = [||];
+    n = 0;
+    src = [||];
+    dst = [||];
+    m = 0;
+    off = [||];
+    adj = [||];
+    color = Bytes.empty;
+    stack_n = [||];
+    stack_p = [||];
+  }
 
-let node g n =
-  match Hashtbl.find_opt g.adj n with
-  | Some l -> l
+let clear g =
+  g.n <- 0;
+  g.m <- 0;
+  if Hashtbl.length g.index > 0 then Hashtbl.reset g.index
+
+(* Room for [need] entries, doubling (scratch is never shrunk). *)
+let grown a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let fresh g id =
+  let i = g.n in
+  g.ids <- grown g.ids (i + 1);
+  g.ids.(i) <- id;
+  g.n <- i + 1;
+  i
+
+let link g a b =
+  if a <> b then begin
+    let e = g.m in
+    if e = Array.length g.src then begin
+      g.src <- grown g.src (e + 1);
+      g.dst <- grown g.dst (e + 1)
+    end;
+    g.src.(e) <- a;
+    g.dst.(e) <- b;
+    g.m <- e + 1
+  end
+
+let node g id =
+  match Hashtbl.find_opt g.index id with
+  | Some i -> i
   | None ->
-    let l = ref [] in
-    Hashtbl.add g.adj n l;
-    (* ncc-lint: allow R18 — per-epoch graph build: the node list lives only until cycle_check drops the graph *)
-    g.nodes <- n :: g.nodes;
-    l
+    let i = fresh g id in
+    Hashtbl.add g.index id i;
+    i
 
-let add_node g n = ignore (node g n)
+let add_node g id = ignore (node g id)
 
 let edge g a b =
   if a <> b then begin
-    let l = node g a in
-    ignore (node g b);
-    (* ncc-lint: allow R18 — per-epoch graph build: adjacency conses are freed with the epoch graph *)
-    l := b :: !l
+    let i = node g a in
+    link g i (node g b)
   end
 
-(* The adjacency Hashtbl is convenient to build but slow to search:
-   every color lookup during the DFS hashes a key. Before the cycle
-   search the graph is frozen into dense arrays — node ids renumbered
-   to [0, n), successor lists turned into int arrays (same order, so
-   the reported cycle is unchanged) — and the DFS colors become one
-   byte per node. Black nodes persist across roots, memoizing "no
-   cycle reachable from here" for the whole query. *)
-type dense = {
-  d_ids : int array;  (* dense index -> original node id *)
-  d_adj : int array array;
-}
+(* CSR over the edge list: [off.(v)] .. [off.(v + 1)) are v's
+   successors, newest edge first (edges are placed back to front from
+   each node's end offset). *)
+let build_csr g =
+  let n = g.n and m = g.m in
+  g.off <- grown g.off (n + 1);
+  g.adj <- grown g.adj m;
+  let off = g.off and adj = g.adj in
+  Array.fill off 0 (n + 1) 0;
+  for e = 0 to m - 1 do
+    off.(g.src.(e)) <- off.(g.src.(e)) + 1
+  done;
+  for v = 1 to n - 1 do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  off.(n) <- m;
+  for e = 0 to m - 1 do
+    let s = g.src.(e) in
+    off.(s) <- off.(s) - 1;
+    adj.(off.(s)) <- g.dst.(e)
+  done
 
-let freeze g =
-  let ids = Array.of_list g.nodes in
-  let n = Array.length ids in
-  let idx = Hashtbl.create (2 * n) in
-  Array.iteri (fun i id -> Hashtbl.replace idx id i) ids;
-  let adj =
-    Array.map
-      (fun id ->
-        let succs = Array.of_list !(Hashtbl.find g.adj id) in
-        Array.map (fun s -> Hashtbl.find idx s) succs)
-      ids
-  in
-  { d_ids = ids; d_adj = adj }
-
-(* Iterative colored DFS over the frozen graph; returns the first
-   cycle (in original node ids) or None. *)
+(* Iterative colored DFS; returns the first cycle (in original node
+   ids) or None. Done nodes persist across roots, memoizing "no cycle
+   reachable from here" for the whole query. *)
 let find_cycle g =
-  let d = freeze g in
-  let n = Array.length d.d_ids in
-  let color = Bytes.make n '\000' in (* '\001' on stack, '\002' done *)
-  (* explicit stack: node and next-successor position, as flat arrays
-     (the gray chain never exceeds n nodes) *)
-  let stack_n = Array.make (max n 1) 0 and stack_p = Array.make (max n 1) 0 in
+  build_csr g;
+  let n = g.n in
+  if Bytes.length g.color < n then
+    g.color <- Bytes.create (max n (2 * Bytes.length g.color));
+  Bytes.fill g.color 0 n '\000';
+  g.stack_n <- grown g.stack_n n;
+  g.stack_p <- grown g.stack_p n;
+  let color = g.color and off = g.off and adj = g.adj in
+  let stack_n = g.stack_n and stack_p = g.stack_p in
   let cycle = ref None in
-  let found = ref false in
-  let root = ref 0 in
-  while (not !found) && !root < n do
+  let root = ref (n - 1) in
+  while Option.is_none !cycle && !root >= 0 do
     if Bytes.get color !root = '\000' then begin
-      let sp = ref 0 in
-      (* ncc-lint: allow R18 — one DFS helper closure per SCC root, amortised over the epoch walk, not per commit *)
-      let push v =
-        stack_n.(!sp) <- v;
-        stack_p.(!sp) <- 0;
-        incr sp;
-        Bytes.set color v '\001'
-      in
-      push !root;
-      while (not !found) && !sp > 0 do
+      stack_n.(0) <- !root;
+      stack_p.(0) <- off.(!root);
+      Bytes.set color !root '\001';
+      let sp = ref 1 in
+      while Option.is_none !cycle && !sp > 0 do
         let top = !sp - 1 in
         let v = stack_n.(top) in
-        let succs = d.d_adj.(v) in
         let p = stack_p.(top) in
-        if p >= Array.length succs then begin
+        if p >= off.(v + 1) then begin
           Bytes.set color v '\002';
           decr sp
         end
         else begin
           stack_p.(top) <- p + 1;
-          let s = succs.(p) in
+          let s = adj.(p) in
           match Bytes.get color s with
-          | '\000' -> push s
+          | '\000' ->
+            stack_n.(!sp) <- s;
+            stack_p.(!sp) <- off.(s);
+            Bytes.set color s '\001';
+            incr sp
           | '\001' ->
-            (* gray: cycle = the gray suffix of the path up to s *)
+            (* on stack: the cycle is the path suffix from s *)
             let j = ref top in
             while stack_n.(!j) <> s do
               decr j
@@ -107,16 +170,15 @@ let find_cycle g =
             let c = ref [] in
             for k = top downto !j do
               (* ncc-lint: allow R18 — violation path only: materialises the witness cycle after a cycle is found *)
-              c := d.d_ids.(stack_n.(k)) :: !c
+              c := g.ids.(stack_n.(k)) :: !c
             done;
-            found := true;
             (* ncc-lint: allow R18 — violation path only: the checker stops at the first violation *)
             cycle := Some !c
           | _ -> ()
         end
       done
     end;
-    incr root
+    decr root
   done;
   !cycle
 

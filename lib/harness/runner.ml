@@ -273,7 +273,7 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
   let n_nodes = Cluster.Topology.n_nodes topo in
   let streaming = cfg.check = Streaming in
   let wm_ring = ring_create () in
-  let wm_cell = ref Float.neg_infinity in
+  let wm_cell = Atomic.make Float.neg_infinity in
   let checker_node = n_nodes in
   let stream =
     if cfg.check <> Streaming then None
@@ -299,15 +299,12 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
       in
       Some
         (Checker.Stream.create ~epoch:cfg.check_window
-           ~watermark:(fun () -> !wm_cell)
+           ~watermark:(fun () -> Atomic.get wm_cell)
            ?on_epoch ())
     end
   in
   let stream_worker =
     match stream with Some _ when cfg.check_async -> Some (Pool.worker ()) | _ -> None
-  in
-  let feed_event =
-    match stream_worker with Some w -> Pool.post w | None -> fun f -> f ()
   in
   (* Lower bound on the start time of every commit not yet fed to the
      checker: no in-flight attempt started earlier than its recorded
@@ -347,9 +344,14 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
                    let vid = v.Mvstore.Store.vid and writer = v.Mvstore.Store.writer in
                    let pv = Option.map (fun (p : Mvstore.Store.version) -> p.vid) prev in
                    let nv = Option.map (fun (s : Mvstore.Store.version) -> s.vid) next in
-                   feed_event (fun () ->
-                       Checker.Stream.observe_version st ~key ~vid ~writer ~prev:pv
-                         ~next:nv)))
+                   match stream_worker with
+                   | None ->
+                     Checker.Stream.observe_version st ~key ~vid ~writer ~prev:pv
+                       ~next:nv
+                   | Some w ->
+                     Pool.post w (fun () ->
+                         Checker.Stream.observe_version st ~key ~vid ~writer
+                           ~prev:pv ~next:nv)))
              (P.server_stores srv)
          | None -> ());
         (id, srv))
@@ -522,10 +524,16 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
                 and reads = List.map (fun (k, vid, _) -> (k, vid)) o.reads
                 and writes = o.writes
                 and wm = watermark_now () in
-                feed_event (fun () ->
-                    wm_cell := wm;
-                    Checker.Stream.observe_commit st ~txn ~start ~finish ~reads
-                      ~writes)
+                (match stream_worker with
+                 | None ->
+                   Atomic.set wm_cell wm;
+                   Checker.Stream.observe_commit st ~txn ~start ~finish ~reads
+                     ~writes
+                 | Some w ->
+                   Pool.post w (fun () ->
+                       Atomic.set wm_cell wm;
+                       Checker.Stream.observe_commit st ~txn ~start ~finish ~reads
+                         ~writes))
               | None ->
                 if cfg.check <> No_check then
                   Checker.Rsg.record_commit chk ~txn:o.txn.Txn.id

@@ -59,6 +59,27 @@ let grow t fill =
   Array.blit t.data 0 fresh_d 0 t.size;
   t.data <- fresh_d
 
+(* The sifts are top-level functions of [t], not closures local to
+   [push]/[pop_min]: a local recursive function that captures [t] is a
+   closure block built on every call. *)
+let rec sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if before t i parent then begin
+      swap t i parent;
+      sift_up t parent
+    end
+  end
+
+let rec sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = if l < t.size && before t l i then l else i in
+  let smallest = if r < t.size && before t r smallest then r else smallest in
+  if smallest <> i then begin
+    swap t i smallest;
+    sift_down t smallest
+  end
+
 let push t prio payload =
   if t.size = Array.length t.data then grow t payload;
   t.prios.(t.size) <- prio;
@@ -66,17 +87,7 @@ let push t prio payload =
   t.data.(t.size) <- payload;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  (* sift up *)
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before t i parent then begin
-        swap t i parent;
-        up parent
-      end
-    end
-  in
-  up (t.size - 1)
+  sift_up t (t.size - 1)
 
 let top_prio t =
   if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
@@ -90,17 +101,6 @@ let pop_min t =
     t.prios.(0) <- t.prios.(t.size);
     t.seqs.(0) <- t.seqs.(t.size);
     t.data.(0) <- t.data.(t.size);
-    (* sift down *)
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < t.size && before t l !smallest then smallest := l;
-      if r < t.size && before t r !smallest then smallest := r;
-      if !smallest <> i then begin
-        swap t i !smallest;
-        down !smallest
-      end
-    in
-    down 0
+    sift_down t 0
   end;
   payload

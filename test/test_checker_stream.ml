@@ -215,6 +215,150 @@ let gc_never_changes_verdict =
       let off = Stream.finalize (streamed ~gc:false h) in
       V.is_ok on = V.is_ok off)
 
+(* The same histories with sparse, large ids: vids spread around 10^6
+   with gaps (the planted ones beyond the vid table's dense range),
+   txn ids far from dense. Run ids are dense counters, so this pins the
+   table growth and absent-id paths rather than the common case. *)
+let sparse_ids h =
+  let vid v = if v >= 99_990 then (1 lsl 40) + v else 1_000_000 + (13 * v) + (v mod 5) in
+  let txn i = (7919 * i) + 3 in
+  let pairs = List.map (fun (k, v) -> (k, vid v)) in
+  {
+    commits =
+      List.map
+        (fun (i, start, finish, reads, writes) ->
+          (txn i, start, finish, pairs reads, pairs writes))
+        h.commits;
+    orders = List.map (fun (k, vids) -> (k, List.map vid vids)) h.orders;
+  }
+
+let sparse_stream_equals_posthoc =
+  QCheck.Test.make
+    ~name:"sparse large ids: gc-off field-for-field, gc-on same verdict" ~count:300
+    history_gen
+    (fun spec ->
+      let h = sparse_ids (build_history spec) in
+      let reference = posthoc h ~strict:true in
+      V.equal reference (Stream.finalize (streamed ~gc:false h))
+      && V.is_ok reference = V.is_ok (Stream.finalize (streamed ~gc:true ~epoch:2 h)))
+
+(* --- flat tables: footprint and allocation ---------------------------- *)
+
+(* [n] read-only commits, each reading [reads] keys of which the first
+   is new (its initial version announced just before the commit) and
+   the rest recently touched; every 64th commit also writes a touched
+   key (announced after its predecessor). The events are built before
+   the checker sees them, so measurements exclude the caller's lists. *)
+type event =
+  | Version of int * int * int option  (* key, vid, prev *)
+  | Commit of int * float * float * (int * int) list * (int * int) list
+
+let f1_shaped ~n ~reads =
+  let latest = Hashtbl.create 1024 in
+  let next_vid = ref 0 in
+  let fresh () =
+    incr next_vid;
+    !next_vid
+  in
+  let events = ref [] in
+  for i = 1 to n do
+    let key = i - 1 in
+    let v = fresh () in
+    Hashtbl.replace latest key v;
+    events := Version (key, v, None) :: !events;
+    let old k = (k * 7919) mod i in
+    let rs =
+      (key, v)
+      :: List.init (reads - 1) (fun j ->
+             let k = old (i + j) in
+             (k, Hashtbl.find latest k))
+    in
+    let ws =
+      if i mod 64 = 0 then begin
+        let k = old (3 * i) in
+        let prev = Hashtbl.find latest k in
+        let w = fresh () in
+        Hashtbl.replace latest k w;
+        events := Version (k, w, Some prev) :: !events;
+        [ (k, w) ]
+      end
+      else []
+    in
+    let start = float_of_int (2 * i) in
+    events := Commit (i, start, start +. 1.0, rs, ws) :: !events
+  done;
+  Array.of_list (List.rev !events)
+
+let feed t wm events lo hi =
+  for j = lo to hi - 1 do
+    match events.(j) with
+    | Version (key, vid, prev) ->
+      Stream.observe_version t ~key ~vid ~writer:(if prev = None then 0 else 9) ~prev
+        ~next:None
+    | Commit (txn, start, finish, reads, writes) ->
+      wm := start;
+      Stream.observe_commit t ~txn ~start ~finish ~reads ~writes
+  done
+
+(* A read-only history over 100k keys: what stays live after a full
+   major collection is the per-key residue (a version entry, its vid
+   cell, its key-table cell) plus the live window of records. The
+   entry-record/Hashtbl layout kept 25.6 words a key. The bound is the
+   flat layout's: an 8-word entry, a 1-word vid cell and a 3-word key
+   table cell at a load of 3/8 to 3/4 (0.38 at 100k keys), plus page
+   slack. *)
+let footprint_per_key () =
+  let n = 100_000 in
+  let events = f1_shaped ~n ~reads:1 in
+  let wm = ref Float.neg_infinity in
+  Gc.full_major ();
+  let w0 = (Gc.stat ()).Gc.live_words in
+  let t = Stream.create ~watermark:(fun () -> !wm) () in
+  feed t wm events 0 (Array.length events);
+  Gc.full_major ();
+  let w1 = (Gc.stat ()).Gc.live_words in
+  (* the events (and so the records' lists) stay live across both readings *)
+  ignore (Sys.opaque_identity events);
+  Alcotest.(check bool) "verdict ok" true (V.is_ok (Stream.verdict (Sys.opaque_identity t)));
+  let per_key = float_of_int (w1 - w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 20 live words per touched key (%.1f)" per_key)
+    true (per_key <= 20.0)
+
+(* The feed path allocates nothing per commit once warm: an F1-shaped
+   stream (initial-version announcements, 5.5 reads a commit, epoch
+   sweeps that retire and prune) measured after a warm-up that grows
+   the tables. New pages of the flat tables go straight to the major
+   heap; the bound leaves room for the few words a table growth takes
+   on the minor heap. The hash-table layout allocated 4,993 words a
+   commit here. *)
+let feed_allocation () =
+  let n = 40_000 in
+  let events = f1_shaped ~n ~reads:6 in
+  let events =
+    Array.map
+      (function
+        | Commit (txn, s, f, rs, ws) when txn mod 2 = 0 ->
+          Commit (txn, s, f, List.filteri (fun i _ -> i < 5) rs, ws)
+        | e -> e)
+      events
+  in
+  let wm = ref Float.neg_infinity in
+  let t = Stream.create ~watermark:(fun () -> !wm) () in
+  let half = Array.length events / 2 in
+  feed t wm events 0 half;
+  let before = Gc.minor_words () in
+  feed t wm events half (Array.length events);
+  let words = Gc.minor_words () -. before in
+  let st = Stream.stats t in
+  Alcotest.(check bool) "verdict ok" true (V.is_ok (Stream.verdict t));
+  Alcotest.(check bool) "epochs ran" true (st.Stream.epochs >= 30);
+  Alcotest.(check bool) "versions were pruned" true (st.Stream.stale_residue > 0);
+  let per_commit = words /. float_of_int (n / 2) in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 4 words per commit on the feed path (%.2f)" per_commit)
+    true (per_commit <= 4.0)
+
 (* --- windowed GC: bounded memory ------------------------------------ *)
 
 (* A 100k-transaction serial read-modify-write chain on one key: with
@@ -407,9 +551,13 @@ let suite =
       Alcotest.test_case "parked inversion witness names the txn, not the wire id"
         `Quick parked_inversion_witness_names_txn;
       Alcotest.test_case "async feed matches sync feed" `Quick async_matches_sync;
+      Alcotest.test_case "flat tables: live words per touched key" `Quick
+        footprint_per_key;
+      Alcotest.test_case "flat tables: feed path allocation per commit" `Quick
+        feed_allocation;
       Alcotest.test_case "quick tiers are never skipped" `Quick
         quick_tiers_not_skipped;
     ]
   @ List.map runner_agreement agreement_protocols
   @ List.map QCheck_alcotest.to_alcotest
-      [ stream_equals_posthoc; gc_never_changes_verdict ]
+      [ stream_equals_posthoc; gc_never_changes_verdict; sparse_stream_equals_posthoc ]

@@ -220,6 +220,38 @@ let wheel_paper_density_churn () =
        excess n)
     true (excess <= 64.0)
 
+(* The same churn on a bare [Sim.Heap] (the wheel's aux and overflow
+   queue): a top_prio/pop_min/push cycle costs only the two floats
+   boxed at the module boundary, 4 words. The sifts used to be local
+   recursive closures over the heap, built on every push and pop: 12
+   words a cycle. *)
+let heap_churn_alloc () =
+  let h = Sim.Heap.create () in
+  for i = 0 to 149 do
+    Sim.Heap.push h (float_of_int i *. 2e-6) i
+  done;
+  let cycles = ref 0 in
+  let churn k =
+    for _ = 1 to k do
+      let p = Sim.Heap.top_prio h in
+      let v = Sim.Heap.pop_min h in
+      incr cycles;
+      let d = 120e-6 +. (float_of_int (!cycles * 7919 mod 261) *. 1e-6) in
+      Sim.Heap.push h (p +. d) v
+    done
+  in
+  churn 1_000;
+  let n = 100_000 in
+  let before = Gc.minor_words () in
+  churn n;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "pending unchanged" 150 (Sim.Heap.length h);
+  let per_cycle = words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 4 words per churn cycle (%.2f)" per_cycle)
+    true
+    (words -. (4.0 *. float_of_int n) <= 64.0)
+
 (* The arena claim behind `send_clean`: once the freelist has grown to
    the steady-state in-flight population, a message allocates no
    closure, flight record or option. Without flambda a handful of
@@ -457,6 +489,8 @@ let suite =
       wheel_churn_footprint;
     Alcotest.test_case "wheel paper-density churn" `Quick
       wheel_paper_density_churn;
+    Alcotest.test_case "heap churn allocates only boundary floats" `Quick
+      heap_churn_alloc;
     Alcotest.test_case "net dispatch zero-alloc" `Quick net_dispatch_zero_alloc;
     Alcotest.test_case "runner gc gauges" `Quick runner_gc_gauges;
     Alcotest.test_case "gc gauge within one minor heap" `Quick
